@@ -1381,11 +1381,7 @@ let tuner_throughput () =
   let accel = Accelerator.a100 () in
   let label = "C5" in
   let op = Resnet.config (Resnet.by_label label) in
-  let mappings =
-    List.concat_map
-      (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
-      accel.Accelerator.intrinsics
-  in
+  let mappings = Explore.mapping_space accel op in
   Printf.printf "(seed %d, %s on A100, %d mappings, best of %d%s)\n%!" seed
     label (List.length mappings) reps
     (if smoke then ", smoke" else "");
@@ -1520,14 +1516,9 @@ let learned_model () =
   let seeds =
     if smoke then [ seed; seed + 1 ] else [ seed; seed + 1; seed + 2 ]
   in
-  let mappings_for accel op =
-    List.concat_map
-      (fun intr -> List.map Mapping.make (Mapping_gen.generate_op op intr))
-      accel.Accelerator.intrinsics
-  in
   let tune ?model ?observe ~tune_seed accel op =
     Explore.tune ?model ?observe ~rng:(Rng.create tune_seed) ~accel
-      ~mappings:(mappings_for accel op) ()
+      ~mappings:(Explore.mapping_space accel op) ()
   in
   (* phase A: uncalibrated baseline, observations collected *)
   let observations = ref [] in

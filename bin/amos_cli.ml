@@ -357,29 +357,14 @@ let tune_cmd =
                 (if List.length o.Migrate.seeds = 1 then "" else "s")
                 o.Migrate.source_accel
                 (if o.Migrate.direct then "direct" else "structural");
-              let r =
-                Par_tune.tune ~jobs ~population:budget.Fingerprint.population
-                  ~generations:budget.Fingerprint.generations
-                  ~measure_top:budget.Fingerprint.measure_top
-                  ~initial_population:o.Migrate.seeds ?model
+              let value, _ =
+                Batch_compile.tune_fresh ?model
                   ?observe:
                     (Option.map
                        (fun f ->
                          f ~fingerprint:(Fingerprint.key ~accel ~op ~budget))
                        observe)
-                  ~rng:(Rng.create budget.Fingerprint.seed) ~accel
-                  ~mappings:(Compiler.mappings accel op) ()
-              in
-              let best = r.Explore.best in
-              let value =
-                if
-                  best.Explore.measured
-                  <= Batch_compile.scalar_seconds accel op
-                then
-                  Plan_cache.Spatial
-                    ( best.Explore.candidate.Explore.mapping,
-                      best.Explore.candidate.Explore.schedule )
-                else Plan_cache.Scalar
+                  ~initial_population:o.Migrate.seeds ~jobs ~budget accel op
               in
               let provenance =
                 {

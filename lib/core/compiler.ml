@@ -15,24 +15,18 @@ type plan = {
   target : target;
 }
 
-(* Intrinsic selection is part of the search: the mapping space is the
-   union over every intrinsic the accelerator exposes (e.g. the three WMMA
-   shapes of Tensor Core). *)
-let mappings ?filter accel op =
-  List.concat_map
-    (fun intr -> List.map Mapping.make (Mapping_gen.generate_op ?filter op intr))
-    accel.Accelerator.intrinsics
+let mappings ?filter accel op = Explore.mapping_space ?filter accel op
 
 (* AMOS also tunes scalar code for the CUDA cores; when a valid spatial
    mapping exists but loses to the scalar roofline (e.g. depthwise conv
    where unused intrinsic dimensions inflate memory traffic 16x), the
    scalar plan is chosen. *)
-let tuned_scalar_seconds accel op =
+let scalar_seconds accel op =
   Spatial_sim.Scalar_backend.estimate_seconds ~efficiency:0.5
     ~memory_efficiency:0.9 accel.Accelerator.config op
 
 let tune ?population ?generations ?measure_top ~rng accel op =
-  let scalar = tuned_scalar_seconds accel op in
+  let scalar = scalar_seconds accel op in
   Log.debug (fun m ->
       m "tuning %s on %s (scalar roofline %.3f us)" op.Operator.name
         accel.Accelerator.name (1e6 *. scalar));

@@ -26,6 +26,11 @@ val mappings : ?filter:bool -> Accelerator.t -> Operator.t -> Mapping.t list
 (** The union of the valid mapping spaces of every intrinsic the
     accelerator exposes (e.g. all three WMMA shapes on Tensor Core). *)
 
+val scalar_seconds : Accelerator.t -> Operator.t -> float
+(** The tuned-scalar roofline a spatial plan must beat: the operator on
+    the accelerator's scalar units at 50% compute and 90% memory
+    efficiency. *)
+
 val tune :
   ?population:int ->
   ?generations:int ->

@@ -88,7 +88,7 @@ let measure accel c =
    the mappings over workers produces identical results. *)
 let mapping_seed (m : Mapping.t) =
   (* the description hash is cached on the mapping itself: a genetic
-     search calls this once but parallel front-ends re-derive shard
+     search calls this once but the sharded search re-derives shard
      streams from it repeatedly, and [Mapping.describe] rebuilds the
      description string on every call.  [Hashtbl.hash] is non-negative,
      so -1 is a safe "not yet computed" sentinel; racing domains can
@@ -115,8 +115,8 @@ let mapping_key (m : Mapping.t) =
 (* Fold an [initial_population] of seed plans into a mapping space:
    returns the extended mapping list (seed mappings join the space when
    not already present), the per-mapping seed schedules, and the is-seeded
-   predicate.  Shared by [tune] and [Amos_service.Par_tune] so both
-   front-ends treat seeds identically. *)
+   predicate.  Seeds attach to mappings by structural key, so any
+   partition over workers sees them identically. *)
 let merge_seed_population ~mappings initial_population =
   let seed_tbl = Hashtbl.create 8 in
   let seed_mappings = ref [] in
@@ -471,12 +471,137 @@ let assemble ?(failures = []) plans ~evaluations =
     failures;
   }
 
+(* One retry per task: transient failures (an OOM blip, a flaky
+   measurement harness) heal silently; a deterministic failure raises
+   identically twice and is reported once.  [Invalid_argument] is a
+   contract violation (e.g. an empty input reaching [tune]) that no retry
+   can repair — it is captured on the first raise, never retried.
+   [Aborted] is a deliberate teardown, not a failure: retrying would
+   restart the very search being cancelled, so it too is captured
+   immediately (the merge in [tune_with] re-raises it). *)
+let attempt f x =
+  match f x with
+  | v -> Ok v
+  | exception (Invalid_argument _ as e) -> Error e
+  | exception (Aborted as e) -> Error e
+  | exception _first -> ( match f x with v -> Ok v | exception e -> Error e)
+
+(* Order-preserving parallel map: [jobs - 1] spawned domains plus the
+   calling one pull task indices from a shared atomic counter and write
+   into a per-index slot, so the merge order — and therefore the final
+   result — is independent of scheduling.  The work units themselves are
+   deterministic (their RNG streams derive from the mapping, not the
+   worker), which is what makes this fan-out safe.
+
+   Every task's outcome is captured as a [Result] inside the worker, so
+   one raising task can neither kill its worker domain nor discard the
+   slots its siblings already filled; the spawned domains are joined in
+   a [Fun.protect] finalizer, so no exit path leaks a running domain. *)
+let parallel_map_result ~jobs f arr =
+  let n = Array.length arr in
+  let jobs = max 1 (min jobs n) in
+  if jobs = 1 then Array.map (attempt f) arr
+  else begin
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let worker () =
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- Some (attempt f arr.(i));
+          loop ()
+        end
+      in
+      loop ()
+    in
+    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    Fun.protect
+      ~finally:(fun () -> List.iter Domain.join domains)
+      worker;
+    Array.map
+      (function
+        | Some r -> r
+        | None -> Error (Failure "Explore: task never executed"))
+      results
+  end
+
+(* The exploration driver: screen every mapping, select the survivors,
+   search them, assemble.  Both phases fan out over [jobs] domains and
+   merge in task order, so the result does not depend on scheduling.
+
+   When the space has fewer mappings than [jobs], per-mapping fan-out
+   would leave domains idle, so each survivor's genetic search is split
+   into [shards]: shard [i] gets a [population / shards] slice of the
+   budget and its own salted RNG stream, and shards merge in (survivor,
+   shard) order.  With one shard this is exactly the unsplit search.
+   Shards never outnumber the population, so the slices partition the
+   budget and every shard holds at least one candidate. *)
+let tune_with ~jobs ~population ~must_keep ~cut ~screen ~search ~mappings () =
+  let failures = ref [] in
+  (* runs on the calling domain after every worker joined; an abort is
+     the whole exploration tearing down, never a per-mapping failure.
+     The merge writes into no cell that outlived the fan-out: such a
+     cell has reached the major heap, and every young value stored into
+     it would be promoted with it. *)
+  let run mapping_of tasks f =
+    parallel_map_result ~jobs f tasks
+    |> Array.mapi (fun i r -> (tasks.(i), r))
+    |> Array.to_list
+    |> List.filter_map (function
+         | t, Ok v -> Some (t, v)
+         | _, Error Aborted -> raise Aborted
+         | t, Error e ->
+             failures :=
+               (Mapping.describe (mapping_of t), Printexc.to_string e)
+               :: !failures;
+             None)
+  in
+  let n_mappings = List.length mappings in
+  let screened = run Fun.id (Array.of_list mappings) screen in
+  let screen_evals =
+    List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 screened
+  in
+  let survivors =
+    select_survivors ~must_keep ?cut
+      (List.map (fun (m, (best, _)) -> (m, best)) screened)
+  in
+  let best_score =
+    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
+  in
+  let shards =
+    if jobs > n_mappings then
+      max 1 (min population (jobs / max 1 (List.length survivors)))
+    else 1
+  in
+  let slice shard =
+    (population / shards) + if shard < population mod shards then 1 else 0
+  in
+  let tasks =
+    Array.of_list
+      (List.concat_map
+         (fun (m, s) -> List.init shards (fun i -> (m, s, i)))
+         survivors)
+  in
+  let searched =
+    run
+      (fun (m, _, _) -> m)
+      tasks
+      (fun (m, score, shard) ->
+        search m ~score ~best_score ~shard ~population:(slice shard))
+  in
+  let evaluations =
+    List.fold_left (fun acc (_, (_, n)) -> acc + n) screen_evals searched
+  in
+  assemble ~failures:(List.rev !failures)
+    (List.concat_map (fun (_, (plans, _)) -> plans) searched)
+    ~evaluations
+
 (* Two-phase exploration mirroring the paper's flow: the analytical model
    first screens the mapping space cheaply, then each surviving mapping
    gets a full schedule search (the same budget a template compiler would
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
-let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3)
+let tune ?(jobs = 1) ?(population = 16) ?(generations = 8) ?(measure_top = 3)
     ?(initial_population = []) ?(memo = true) ?model ?observe ?progress ?abort
     ~rng ~accel ~mappings () =
   if mappings = [] && initial_population = [] then
@@ -486,107 +611,71 @@ let tune ?(population = 16) ?(generations = 8) ?(measure_top = 3)
   let mappings, seeds_for, is_seeded =
     merge_seed_population ~mappings initial_population
   in
-  let evals = ref 0 in
-  let failures = ref [] in
-  let record mapping e =
-    failures := (Mapping.describe mapping, Printexc.to_string e) :: !failures
+  (* one mutex guards the progress counters and serialises the caller's
+     [progress] and [observe] callbacks, which fire from worker domains:
+     a single-threaded consumer (appending to a log, pushing on a list)
+     is safe as-is.  Generations count globally across mappings and
+     shards. *)
+  let mu = Mutex.create () in
+  let locked f =
+    Mutex.lock mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
   in
-  (* progress aggregation across the whole exploration: generation count,
-     best model score and best measurement so far, plus a live evaluation
-     estimate ([population] per generation, folded into the exact
-     per-mapping total once that mapping's search returns) *)
-  let gens = ref 0 in
-  let best_pred = ref infinity in
-  let best_meas = ref infinity in
-  let live_evals = ref 0 in
-  let fire () =
-    match progress with
-    | None -> ()
-    | Some f ->
-        f
-          {
-            pr_generation = !gens;
-            pr_best_predicted = !best_pred;
-            pr_best_measured = !best_meas;
-            pr_evaluations = !evals + !live_evals;
-          }
-  in
-  let tick =
-    match progress with
-    | None -> None
-    | Some _ ->
-        Some
-          (fun best ->
+  let gens = ref 0 and evals = ref 0 in
+  let best_pred = ref infinity and best_meas = ref infinity in
+  let tick pop =
+    Option.map
+      (fun f best ->
+        locked (fun () ->
             incr gens;
-            live_evals := !live_evals + population;
+            evals := !evals + pop;
             if best < !best_pred then best_pred := best;
-            fire ())
+            f
+              {
+                pr_generation = !gens;
+                pr_best_predicted = !best_pred;
+                pr_best_measured = !best_meas;
+                pr_evaluations = !evals;
+              }))
+      progress
   in
   let observe =
-    match progress with
-    | None -> observe
-    | Some _ ->
+    match (progress, observe) with
+    | None, None -> None
+    | _ ->
         Some
           (fun ob ->
-            if ob.ob_measured < !best_meas then best_meas := ob.ob_measured;
-            match observe with None -> () | Some f -> f ob)
+            locked (fun () ->
+                if ob.ob_measured < !best_meas then best_meas := ob.ob_measured;
+                Option.iter (fun f -> f ob) observe))
   in
-  (* a raising per-mapping unit loses that mapping, not the search: the
-     siblings' results survive and the failure is reported by name *)
-  let screened =
-    List.filter_map
-      (fun mapping ->
-        match screen_mapping ~memo ?model ~accel mapping with
-        | best, n ->
-            evals := !evals + n;
-            Some (mapping, best)
-        | exception e ->
-            record mapping e;
-            None)
-      mappings
-  in
-  let cut = Option.bind model (fun m -> m.sm_survivor_cut) in
-  let survivors = select_survivors ~must_keep:is_seeded ?cut screened in
-  let best_score =
-    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
-  in
-  let plans =
-    List.concat_map
-      (fun (mapping, score) ->
-        match
-          search_mapping ~seeds:(seeds_for mapping) ~memo
-            ?model:(unband ?model ~best:best_score score)
-            ?observe ?tick ?abort ~population ~generations ~measure_top ~accel
-            mapping
-        with
-        | plans, n ->
-            evals := !evals + n;
-            live_evals := 0;
-            plans
-        (* an abort is not a per-mapping failure — the whole exploration
-           is being torn down, so nothing may be swallowed *)
-        | exception (Aborted as e) -> raise e
-        | exception e ->
-            record mapping e;
-            [])
-      survivors
-  in
-  assemble ~failures:(List.rev !failures) plans ~evaluations:!evals
+  tune_with ~jobs ~population ~must_keep:is_seeded
+    ~cut:(Option.bind model (fun m -> m.sm_survivor_cut))
+    ~screen:(screen_mapping ~memo ?model ~accel)
+    ~search:(fun m ~score ~best_score ~shard ~population ->
+      (* seeds attach to shard 0 only, so a seed is measured once *)
+      search_mapping ~salt:shard
+        ~seeds:(if shard = 0 then seeds_for m else [])
+        ~memo
+        ?model:(unband ?model ~best:best_score score)
+        ?observe ?tick:(tick population) ?abort ~population ~generations
+        ~measure_top ~accel m)
+    ~mappings ()
 
-let tune_op ?population ?generations ?measure_top ?filter ?memo ?model
+let mapping_space ?filter ?memo accel op =
+  List.concat_map
+    (fun intr ->
+      List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
+    accel.Accelerator.intrinsics
+
+let tune_op ?jobs ?population ?generations ?measure_top ?filter ?memo ?model
     ?observe ~rng ~accel op =
-  let mappings =
-    List.concat_map
-      (fun intr ->
-        List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
-      accel.Accelerator.intrinsics
-  in
-  match mappings with
+  match mapping_space ?filter ?memo accel op with
   | [] -> None
-  | _ ->
+  | mappings ->
       Some
-        (tune ?population ?generations ?measure_top ?memo ?model ?observe ~rng
-           ~accel ~mappings ())
+        (tune ?jobs ?population ?generations ?measure_top ?memo ?model
+           ?observe ~rng ~accel ~mappings ())
 
 let sample ~n ~rng ~accel ~mappings =
   if mappings = [] then invalid_arg "Explore.sample: no mappings";

@@ -86,13 +86,15 @@ type progress = {
       (** best simulator seconds so far; [infinity] before the first
           measurement *)
   pr_evaluations : int;
-      (** model evaluations spent so far (live estimate: [population]
-          per completed generation on top of the finished exact counts) *)
+      (** genetic-search model evaluations so far: each completed
+          generation adds its population (its shard's slice when the
+          population is split) *)
 }
 (** One per-generation snapshot of an in-flight exploration, reported
     through [?progress].  Like {!observation}, a pure side channel. *)
 
 val tune :
+  ?jobs:int ->
   ?population:int ->
   ?generations:int ->
   ?measure_top:int ->
@@ -108,11 +110,29 @@ val tune :
   unit ->
   result
 (** Two-phase search: every mapping is screened by the model with a
-    handful of schedules; the 8 best mappings each receive a full
-    genetic schedule search with the given [population] x [generations]
-    budget (what a template compiler spends on its one hand-written
-    mapping); the [measure_top] best schedules per mapping are measured
-    on the simulator.
+    handful of schedules; the best dozen mappings (plus the
+    highest-utilization ones, see {!select_survivors}) each receive a
+    full genetic schedule search with the given [population] x
+    [generations] budget (what a template compiler spends on its one
+    hand-written mapping); the [measure_top] best schedules per mapping
+    are measured on the simulator.
+
+    [jobs] (default 1) fans both phases out over that many OCaml 5
+    domains.  Every work unit draws its RNG stream from {!mapping_seed}
+    and results merge in task order, so the result is bit-identical for
+    every [jobs] — except when the space has {e fewer mappings than
+    jobs}: each survivor's genetic search then runs as up to
+    [jobs / survivors] shards (never more than [population]) with
+    salted RNG streams and a partitioned population budget.  That path
+    is deterministic for a fixed (seed, jobs) pair and spends the same
+    evaluations, but a different [jobs] may surface a different, equally
+    valid winner.
+
+    Failure isolation: every work unit is retried once, and a mapping
+    whose unit raises twice is dropped and reported in [failures]
+    (raised [Invalid_argument] and {!Aborted} are never retried).  One
+    raising mapping can neither kill a worker domain, leak unjoined
+    domains, nor discard the plans its siblings found.
 
     [initial_population] seeds the search with known-good plans (e.g.
     plans migrated from a sibling accelerator, see
@@ -124,7 +144,8 @@ val tune :
     candidate from the budget.
 
     Raises [Invalid_argument] when both [mappings] and
-    [initial_population] are empty, or no candidate is feasible.
+    [initial_population] are empty, or no candidate is feasible, and
+    [Failure] when every mapping failed.
 
     [memo] (default [true]) turns on the allocation-lean fast path: the
     schedule-independent half of lowering is prepared once per mapping
@@ -142,11 +163,23 @@ val tune :
     per simulator measurement with the {!observation} it produced.
 
     [progress] is called once per completed genetic generation with the
-    aggregated {!progress} snapshot; [abort] is polled at every
-    generation boundary, and returning [true] raises {!Aborted} out of
-    the whole exploration.  Neither affects results when unused. *)
+    aggregated {!progress} snapshot ([pr_generation] counts globally
+    across mappings and shards); [abort] is polled at every generation
+    boundary of every worker, and returning [true] raises {!Aborted} out
+    of the whole exploration after all domains joined.  Neither affects
+    results.  [observe] and [progress] callbacks are serialized behind
+    one mutex, so a single-threaded consumer is safe as-is — though the
+    {e order} of observations across domains depends on scheduling. *)
+
+val mapping_space :
+  ?filter:bool -> ?memo:bool -> Accelerator.t -> Amos_ir.Operator.t -> Mapping.t list
+(** The mapping space of an operator: {!Mapping_gen.generate_op} over
+    {e every} intrinsic the accelerator exposes (intrinsic selection is
+    part of the search).  [filter] and [memo] as in
+    {!Mapping_gen.generate_op}. *)
 
 val tune_op :
+  ?jobs:int ->
   ?population:int ->
   ?generations:int ->
   ?measure_top:int ->
@@ -158,17 +191,15 @@ val tune_op :
   accel:Accelerator.t ->
   Amos_ir.Operator.t ->
   result option
-(** Generates the mapping space over {e every} intrinsic the accelerator
-    exposes (intrinsic selection is part of the search) and tunes;
-    [None] when the operator has no valid mapping. *)
+(** {!tune} over the operator's {!mapping_space}; [None] when the
+    operator has no valid mapping. *)
 
 (** {2 Decomposed search primitives}
 
-    [tune] is the sequential composition of the functions below.  Each
-    per-mapping unit derives its RNG stream from {!mapping_seed}, so the
-    work units are independent and deterministic: any partition of the
-    mapping list over parallel workers — see [Amos_service.Par_tune] —
-    reproduces [tune]'s results exactly. *)
+    [tune] composes the functions below.  Each per-mapping unit derives
+    its RNG stream from {!mapping_seed}, so the work units are
+    independent and deterministic: any partition of the mapping list
+    over parallel workers reproduces the sequential result exactly. *)
 
 val mapping_seed : Mapping.t -> int
 (** Stable seed of a mapping's schedule-search stream: a hash of the
@@ -179,16 +210,6 @@ val mapping_key : Mapping.t -> string * string
 (** Structural identity of a mapping (description, intrinsic name):
     stable across separately constructed but structurally equal mappings,
     unlike the physical identity of the [Iter.t] ids inside. *)
-
-val merge_seed_population :
-  mappings:Mapping.t list ->
-  candidate list ->
-  Mapping.t list * (Mapping.t -> Schedule.t list) * (Mapping.t -> bool)
-(** Fold seed plans into a mapping space: [(mappings', seeds_for,
-    is_seeded)] where [mappings'] extends [mappings] with seed mappings
-    not already present (by {!mapping_key}), [seeds_for m] is the seed
-    schedules attached to [m], and [is_seeded m] says whether [m] must
-    survive screening.  Shared by [tune] and [Amos_service.Par_tune]. *)
 
 val screen_mapping :
   ?memo:bool ->
@@ -221,9 +242,7 @@ val unband :
     [sm_measure_cut] band and measure their full [measure_top], because
     the winning plan most often lives in the top-ranked mapping and the
     simulator must not be spared right there.  Every other survivor,
-    and any model without a band, passes through unchanged.  Both
-    {!tune} and [Amos_service.Par_tune] apply this to keep the two
-    front-ends' pruning identical. *)
+    and any model without a band, passes through unchanged. *)
 
 val search_mapping :
   ?salt:int ->
@@ -259,6 +278,40 @@ val assemble :
 (** Combine measured plans (in exploration order) into a [result];
     raises [Invalid_argument] on the empty list with no failures, and
     [Failure] (naming every failed mapping) when all mappings failed. *)
+
+val parallel_map_result :
+  jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) Stdlib.result array
+(** Order-preserving parallel map over [jobs] domains with per-task
+    failure capture and one retry ([Invalid_argument] and {!Aborted} are
+    captured on the first raise).  All spawned domains are joined before
+    this returns, on every exit path. *)
+
+val tune_with :
+  jobs:int ->
+  population:int ->
+  must_keep:(Mapping.t -> bool) ->
+  cut:float option ->
+  screen:(Mapping.t -> float * int) ->
+  search:
+    (Mapping.t ->
+    score:float ->
+    best_score:float ->
+    shard:int ->
+    population:int ->
+    plan list * int) ->
+  mappings:Mapping.t list ->
+  unit ->
+  result
+(** The driver behind {!tune}, with the two per-mapping work units
+    supplied by the caller — [tune] passes {!screen_mapping} and
+    {!search_mapping}.  [must_keep] and [cut] go to {!select_survivors}.
+    Each search call receives the survivor's screen [score], the
+    [best_score] among all survivors (see {!unband}), its [shard] index
+    and that shard's slice of [population] (the whole of it unless the
+    population is split, see {!tune}).  A unit failing with {!Aborted}
+    re-raises out of the merge after all domains joined instead of being
+    recorded.  Exposed so the failure-isolation contract is testable
+    with units that raise on demand. *)
 
 val sample :
   n:int ->

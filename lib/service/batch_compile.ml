@@ -42,34 +42,36 @@ type t = {
   report : report;
 }
 
-(* the same scalar roofline [Compiler.tune] races the spatial plan
-   against; a cached Scalar marker records that the scalar units won *)
-let scalar_seconds accel op =
-  Spatial_sim.Scalar_backend.estimate_seconds ~efficiency:0.5
-    ~memory_efficiency:0.9 accel.Accelerator.config op
+let scalar_seconds = Compiler.scalar_seconds
 
-let tune_fresh ?model ?observe ~jobs ~(budget : Fingerprint.budget) accel op =
-  let rng = Rng.create budget.Fingerprint.seed in
-  match
-    Par_tune.tune_op ?jobs ~population:budget.Fingerprint.population
-      ~generations:budget.Fingerprint.generations
-      ~measure_top:budget.Fingerprint.measure_top ?model ?observe ~rng ~accel
-      op
-  with
-  | Some result
-    when result.Explore.best.Explore.measured < infinity
-         && result.Explore.best.Explore.measured <= scalar_seconds accel op ->
-      let c = result.Explore.best.Explore.candidate in
-      ( Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule),
-        result.Explore.evaluations )
-  | Some result -> (Plan_cache.Scalar, result.Explore.evaluations)
-  | None -> (Plan_cache.Scalar, 0)
+let tune_fresh ?model ?observe ?(initial_population = []) ?progress ?abort
+    ~jobs ~(budget : Fingerprint.budget) accel op =
+  match (Explore.mapping_space accel op, initial_population) with
+  | [], [] -> (Plan_cache.Scalar, 0)
+  | mappings, _ ->
+      let result =
+        Explore.tune ~jobs ~population:budget.Fingerprint.population
+          ~generations:budget.Fingerprint.generations
+          ~measure_top:budget.Fingerprint.measure_top ~initial_population
+          ?model ?observe ?progress ?abort
+          ~rng:(Rng.create budget.Fingerprint.seed) ~accel ~mappings ()
+      in
+      let best = result.Explore.best in
+      (* a cached Scalar marker records that the scalar units won *)
+      if
+        best.Explore.measured < infinity
+        && best.Explore.measured <= scalar_seconds accel op
+      then
+        let c = best.Explore.candidate in
+        ( Plan_cache.Spatial (c.Explore.mapping, c.Explore.schedule),
+          result.Explore.evaluations )
+      else (Plan_cache.Scalar, result.Explore.evaluations)
 
 (* one compile run: a within-run memo over the cache, with counters *)
 type ctx = {
   cache : Plan_cache.t;
   budget : Fingerprint.budget;
-  jobs : int option;
+  jobs : int;
   model : Explore.screen_model option;
   observe : (fingerprint:string -> Explore.observation -> unit) option;
   memo : (string, Plan_cache.value) Hashtbl.t;
@@ -84,8 +86,8 @@ type ctx = {
   mutable known_bad : int;
 }
 
-let make_ctx ?jobs ?(budget = Fingerprint.default_budget) ?model ?observe
-    cache =
+let make_ctx ?(jobs = Par_tune.default_jobs ())
+    ?(budget = Fingerprint.default_budget) ?model ?observe cache =
   let badlist =
     match Plan_cache.dir cache with
     | None -> None

@@ -4,7 +4,8 @@
     deduplicates stages that are structurally identical (real networks
     repeat the same operator shape dozens of times), serves repeats and
     previously tuned operators from a {!Plan_cache}, and tunes only the
-    genuinely new ones — in parallel via {!Par_tune}.  The report says
+    genuinely new ones through {!tune_fresh}, [jobs] domains each
+    (default [Par_tune.default_jobs]).  The report says
     how much of the compile was served from cache and how much wall
     clock went into tuning; a fully warm cache compiles with zero tuner
     evaluations.
@@ -82,8 +83,26 @@ val compile :
     model's observation log hangs off. *)
 
 val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
-(** The tuned-scalar roofline spatial plans must beat (the same one
-    [Compiler.tune] uses). *)
+(** The tuned-scalar roofline spatial plans must beat
+    ([Compiler.scalar_seconds]). *)
+
+val tune_fresh :
+  ?model:Explore.screen_model ->
+  ?observe:(Explore.observation -> unit) ->
+  ?initial_population:Explore.candidate list ->
+  ?progress:(Explore.progress -> unit) ->
+  ?abort:(unit -> bool) ->
+  jobs:int ->
+  budget:Fingerprint.budget ->
+  Accelerator.t ->
+  Amos_ir.Operator.t ->
+  Plan_cache.value * int
+(** Tune one operator with no cache involved: [Explore.tune] over its
+    [Explore.mapping_space] with the budget's population, generations,
+    measure count and seed, then keep the spatial plan only if it beats
+    {!scalar_seconds}.  Returns the plan and the evaluations spent;
+    [(Scalar, 0)] when the operator has no mapping and no seed.  The
+    optional arguments follow [Explore.tune]'s contract. *)
 
 val tune_op :
   ?jobs:int ->

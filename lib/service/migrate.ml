@@ -108,14 +108,10 @@ let structural_seeds ~max_seeds ~target ~op ~plan_text =
     List.map (fun (it : Iter.t) -> it.Iter.name) op.Operator.iters
   in
   let candidates =
-    List.concat_map
-      (fun intr ->
-        List.map
-          (fun matching ->
-            let mapping = Mapping.make matching in
-            (score_candidate ~src_pairs ~sw_names matching, mapping))
-          (Mapping_gen.generate_op op intr))
-      target.Accelerator.intrinsics
+    List.map
+      (fun mapping ->
+        (score_candidate ~src_pairs ~sw_names mapping.Mapping.matching, mapping))
+      (Explore.mapping_space target op)
   in
   let ranked =
     List.sort

@@ -6,9 +6,8 @@
     physical tiling re-derives mechanically from the sibling's extents
     and capacities ([Mapping.make]).  Migration turns a plan tuned for
     accelerator A into a {e seed population} for tuning on accelerator B
-    — fed to [Explore.tune ~initial_population] (or
-    {!Par_tune.tune}), where seeds compete with, and never replace,
-    the random candidates.
+    — fed to [Explore.tune ~initial_population], where seeds compete
+    with, and never replace, the random candidates.
 
     Two paths:
     - {b direct} — B exposes an intrinsic with the same name (e.g. V100

@@ -1,103 +1,15 @@
-(** Domain-parallel mapping x schedule exploration.
+(** Parallel tuning defaults and the daemon's worker pool.
 
-    A drop-in front-end to {!Amos.Explore.tune} that fans the
-    per-mapping work units (model screening, then the genetic schedule
-    searches) out across OCaml 5 domains.  Determinism is preserved by
-    construction: every work unit draws its RNG stream from
-    [Explore.mapping_seed] — a hash of the mapping itself — and results
-    are merged back in the sequential order, so the result is the same
-    for any [jobs], including [jobs = 1] which is bit-identical to
-    [Explore.tune].
-
-    Exception: an operator with {e fewer mappings than jobs} would
-    leave domains idle, so [tune] switches to a population-split
-    fan-out — each surviving mapping's genetic search runs as
-    [jobs / survivors] shards with independent salted RNG streams and a
-    partitioned population budget.  That path is deterministic for a
-    fixed (seed, jobs) pair (pinned by a test), but a different [jobs]
-    changes the sharding and may legitimately surface a different
-    winner.
-
-    Failure isolation: every work unit's outcome is captured as a
-    [Result] inside its worker and retried once, so one raising mapping
-    can neither kill a worker domain, leak unjoined domains (joins run
-    in a [Fun.protect] finalizer), nor discard the plans its siblings
-    found.  Per-mapping failures surface in [Explore.result.failures]. *)
+    The exploration itself, parallel or not, is {!Amos.Explore.tune}
+    with its [?jobs] fan-out; this module supplies the default domain
+    count, a {!tune_op} that uses it, and the persistent {!Pool} the
+    plan-serving daemon dispatches tunes onto. *)
 
 open Amos
 open Amos_ir
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
-
-val parallel_map_result :
-  jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** Order-preserving parallel map with per-task failure capture and one
-    retry.  All spawned domains are joined before this returns, on every
-    exit path. *)
-
-val tune :
-  ?jobs:int ->
-  ?population:int ->
-  ?generations:int ->
-  ?measure_top:int ->
-  ?initial_population:Explore.candidate list ->
-  ?model:Explore.screen_model ->
-  ?observe:(Explore.observation -> unit) ->
-  ?progress:(Explore.progress -> unit) ->
-  ?abort:(unit -> bool) ->
-  rng:Amos_tensor.Rng.t ->
-  accel:Accelerator.t ->
-  mappings:Mapping.t list ->
-  unit ->
-  Explore.result
-(** Same contract as [Explore.tune], including [?initial_population]
-    seeding (seeds are merged by [Explore.merge_seed_population] before
-    the fan-out, so every [jobs] sees them identically); [jobs] defaults
-    to {!default_jobs}.  Mappings whose work unit raises (twice) are
-    dropped and reported in [failures]; raises [Failure] only when
-    {e every} mapping failed, and [Invalid_argument] — immediately, never
-    via the retry path — when both [mappings] and [initial_population]
-    are empty.
-
-    [model] and [observe] follow [Explore.tune]'s contract; both reach
-    every worker domain.  [observe] callbacks are serialized behind a
-    mutex before the fan-out, so a single-threaded observer (appending
-    to [Amos_learn.Obs_log], pushing on a list) is safe as-is — though
-    the {e order} of observations across domains remains
-    scheduling-dependent.
-
-    [progress] and [abort] follow [Explore.tune]'s contract across the
-    fan-out: generation ticks from all worker domains aggregate under
-    one mutex (the callback fires inside it, so a single-threaded
-    consumer is safe as-is, and [pr_generation] counts globally across
-    mappings and shards), and [abort] is polled by every worker at its
-    own generation boundaries — the first worker to observe [true]
-    raises [Explore.Aborted], which the merge re-raises out of [tune]
-    after all domains joined, never as a per-mapping failure. *)
-
-val tune_with :
-  ?jobs:int ->
-  ?must_keep:(Mapping.t -> bool) ->
-  ?cut:float ->
-  screen:(Mapping.t -> float * int) ->
-  search:
-    (Mapping.t -> score:float -> best_score:float -> Explore.plan list * int) ->
-  mappings:Mapping.t list ->
-  unit ->
-  Explore.result
-(** The fan-out skeleton of {!tune} with the two per-mapping work units
-    supplied by the caller — [tune] passes [Explore.screen_mapping] and
-    [Explore.search_mapping].  [must_keep] and [cut] are forwarded to
-    [Explore.select_survivors] (seeded mappings always earn a search;
-    [cut] is the screen model's survivor ratio).  Each search call
-    receives the survivor's own screen [score] and the [best_score]
-    among all survivors, so a calibrated caller can treat top-ranked
-    mappings differently (see [Explore.unband]).  A work unit failing
-    with [Explore.Aborted] re-raises out of the merge (after all
-    domains joined) instead of being recorded — an abort tears the
-    whole exploration down.  Exposed so the failure-isolation contract
-    is directly testable with units that raise on demand. *)
 
 val tune_op :
   ?jobs:int ->
@@ -107,19 +19,16 @@ val tune_op :
   ?filter:bool ->
   ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
-  ?progress:(Explore.progress -> unit) ->
-  ?abort:(unit -> bool) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
   Operator.t ->
   Explore.result option
-(** Same contract as [Explore.tune_op]; [model], [observe], [progress]
-    and [abort] as in {!tune}. *)
+(** [Explore.tune_op] with [jobs] defaulting to {!default_jobs}. *)
 
 (** Persistent bounded worker pool over OCaml 5 domains.
 
     Long-lived worker domains pull thunks from a capacity-bounded
-    queue; unlike {!parallel_map_result} (spawn + join per call) the
+    queue; unlike [Explore.parallel_map_result] (spawn + join per call) the
     pool amortises domain startup across a server's lifetime and gives
     callers an admission-control primitive: {!Pool.try_submit} refuses
     work instead of queueing without bound.  The plan-serving daemon

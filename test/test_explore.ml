@@ -55,6 +55,65 @@ let tune_tests =
         match Explore.tune ~rng ~accel ~mappings:[] () with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Alcotest.test_case "split-search-keeps-the-evaluation-budget" `Quick
+      (fun () ->
+        (* one mapping and more jobs than candidates: the population
+           split may not give shards more candidates than the budget *)
+        let accel = Accelerator.v100 () in
+        let m = List.hd (Compiler.mappings accel (Ops.gemm ~m:32 ~n:32 ~k:32 ())) in
+        let evals ~population jobs =
+          (Explore.tune ~jobs ~population ~generations:2 ~rng:(Rng.create 3)
+             ~accel ~mappings:[ m ] ())
+            .Explore.evaluations
+        in
+        List.iter
+          (fun population ->
+            let base = evals ~population 1 in
+            List.iter
+              (fun jobs ->
+                Alcotest.(check int)
+                  (Printf.sprintf "population %d, jobs %d" population jobs)
+                  base (evals ~population jobs))
+              [ 4; 8 ])
+          [ 2; 3 ]);
+    Alcotest.test_case "progress-through-the-real-driver" `Quick (fun () ->
+        let accel = Accelerator.v100 () in
+        let op = Ops.gemm ~m:32 ~n:32 ~k:32 () in
+        let mappings = Compiler.mappings accel op in
+        Alcotest.(check bool) "more mappings than jobs" true
+          (List.length mappings > 2);
+        let generations = 2 in
+        let survivors =
+          Explore.select_survivors
+            (List.map
+               (fun m -> (m, fst (Explore.screen_mapping ~accel m)))
+               mappings)
+        in
+        let final jobs =
+          let seen = ref [] in
+          ignore
+            (Explore.tune ~jobs ~population:4 ~generations
+               ~progress:(fun p -> seen := p :: !seen)
+               ~rng:(Rng.create 5) ~accel ~mappings ());
+          let seen = List.rev !seen in
+          List.iteri
+            (fun i p ->
+              Alcotest.(check int) "one generation per tick" (i + 1)
+                p.Explore.pr_generation)
+            seen;
+          ignore
+            (List.fold_left
+               (fun prev p ->
+                 Alcotest.(check bool) "best predicted never increases" true
+                   (p.Explore.pr_best_predicted <= prev);
+                 p.Explore.pr_best_predicted)
+               infinity seen);
+          (List.nth seen (List.length seen - 1)).Explore.pr_generation
+        in
+        let f1 = final 1 in
+        Alcotest.(check int) "generations x searched survivors"
+          (generations * List.length survivors) f1;
+        Alcotest.(check int) "same at jobs 2" f1 (final 2));
     Alcotest.test_case "sample-pairs-finite" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Amos_workloads.Resnet.config (Amos_workloads.Resnet.by_label "C8") in

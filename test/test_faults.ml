@@ -327,7 +327,7 @@ let degradation_tests =
       (fun () ->
         let arr = Array.init 8 Fun.id in
         let results =
-          Par_tune.parallel_map_result ~jobs:4
+          Explore.parallel_map_result ~jobs:4
             (fun i -> if i = 3 then raise boom else i * 10)
             arr
         in
@@ -343,7 +343,7 @@ let degradation_tests =
       (fun () ->
         let attempts = Array.init 4 (fun _ -> Atomic.make 0) in
         let results =
-          Par_tune.parallel_map_result ~jobs:2
+          Explore.parallel_map_result ~jobs:2
             (fun i ->
               (* every task fails its first attempt, succeeds its second *)
               if Atomic.fetch_and_add attempts.(i) 1 = 0 then raise boom
@@ -370,12 +370,14 @@ let degradation_tests =
           (List.length mappings >= 2);
         let victim = Mapping.describe (List.hd mappings) in
         let result =
-          Par_tune.tune_with ~jobs:4
+          Explore.tune_with ~jobs:4 ~population:4
+            ~must_keep:(fun _ -> false)
+            ~cut:None
             ~screen:(fun m -> Explore.screen_mapping ~accel m)
-            ~search:(fun m ~score:_ ~best_score:_ ->
+            ~search:(fun m ~score:_ ~best_score:_ ~shard:_ ~population ->
               if Mapping.describe m = victim then raise boom
               else
-                Explore.search_mapping ~population:4 ~generations:2
+                Explore.search_mapping ~population ~generations:2
                   ~measure_top:2 ~accel m)
             ~mappings ()
         in

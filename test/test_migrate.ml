@@ -211,7 +211,7 @@ let par_tune_tests =
           | 1 -> failwith "flaky"
           | _ -> i * 10
         in
-        let r = Par_tune.parallel_map_result ~jobs:1 f [| 0; 1; 2 |] in
+        let r = Explore.parallel_map_result ~jobs:1 f [| 0; 1; 2 |] in
         (match r.(0) with
         | Error (Invalid_argument _) -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
@@ -226,10 +226,10 @@ let par_tune_tests =
         Alcotest.(check int) "success attempted once" 1 counts.(2));
     Alcotest.test_case "empty-tune-raises-immediately" `Quick (fun () ->
         let accel = Accelerator.v100 () in
-        Alcotest.check_raises "Par_tune"
-          (Invalid_argument "Par_tune.tune: no mappings") (fun () ->
+        Alcotest.check_raises "jobs 2"
+          (Invalid_argument "Explore.tune: no mappings") (fun () ->
             ignore
-              (Par_tune.tune ~jobs:2 ~rng:(Rng.create 1) ~accel ~mappings:[] ()));
+              (Explore.tune ~jobs:2 ~rng:(Rng.create 1) ~accel ~mappings:[] ()));
         Alcotest.check_raises "Explore"
           (Invalid_argument "Explore.tune: no mappings") (fun () ->
             ignore (Explore.tune ~rng:(Rng.create 1) ~accel ~mappings:[] ())));
@@ -242,7 +242,7 @@ let par_tune_tests =
             ~source_fingerprint:"fp3" ~plan_text:(plan_text_of source op) ()
         in
         let r =
-          Par_tune.tune ~jobs:2 ~population:4 ~generations:1 ~measure_top:1
+          Explore.tune ~jobs:2 ~population:4 ~generations:1 ~measure_top:1
             ~initial_population:o.Migrate.seeds ~rng:(Rng.create 5)
             ~accel:target ~mappings:[] ()
         in
@@ -258,7 +258,7 @@ let par_tune_tests =
             ~source_fingerprint:"fp4" ~plan_text:(plan_text_of source op) ()
         in
         let run jobs =
-          Par_tune.tune ~jobs ~population:6 ~generations:2 ~measure_top:2
+          Explore.tune ~jobs ~population:6 ~generations:2 ~measure_top:2
             ~initial_population:o.Migrate.seeds ~rng:(Rng.create 9)
             ~accel:target ~mappings:(Compiler.mappings target op) ()
         in

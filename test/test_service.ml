@@ -197,7 +197,7 @@ let par_tune_tests =
         Alcotest.(check bool) "op has mappings" true (mappings <> []);
         let jobs = List.length mappings + 2 in
         let run () =
-          Par_tune.tune ~jobs ~population:4 ~generations:2 ~measure_top:2
+          Explore.tune ~jobs ~population:4 ~generations:2 ~measure_top:2
             ~rng:(Rng.create 7) ~accel ~mappings ()
         in
         let r1 = run () and r2 = run () in
