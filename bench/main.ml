@@ -30,6 +30,28 @@ let geomean = function
       exp (List.fold_left (fun acc x -> acc +. log x) 0. l
            /. float_of_int (List.length l))
 
+(* The host block every BENCH_*.json carries, so numbers from different
+   machines and revisions can be told apart: core count, OCaml version
+   and the checked-out commit, read from .git ("none" where it does not
+   resolve, e.g. an export without git metadata or a packed ref). *)
+let host_json_field () =
+  let first_line path =
+    In_channel.with_open_bin path In_channel.input_line
+    |> Option.value ~default:"none"
+  in
+  let git_rev =
+    try
+      let head = first_line ".git/HEAD" in
+      match String.split_on_char ' ' head with
+      | [ "ref:"; name ] -> first_line (Filename.concat ".git" name)
+      | _ -> head
+    with Sys_error _ -> "none"
+  in
+  Printf.sprintf
+    "  \"host\": {\"nproc\": %d, \"ocaml\": \"%s\", \"git_rev\": \"%s\"},"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version git_rev
+
 let amos_seconds ~seed accel op =
   Compiler.seconds (Compiler.tune ~rng:(Rng.create seed) accel op)
 
@@ -1141,6 +1163,7 @@ let fleet () =
       [
         "{";
         Printf.sprintf "  \"experiment\": \"fleet\",";
+        host_json_field ();
         Printf.sprintf "  \"seed\": %d," budget.Fingerprint.seed;
         Printf.sprintf "  \"smoke\": %b," smoke;
         "  \"ops\": [";
@@ -1310,6 +1333,7 @@ let chaos () =
       [
         "{";
         "  \"experiment\": \"chaos\",";
+        host_json_field ();
         Printf.sprintf "  \"seed\": %d," !seed_ref;
         Printf.sprintf "  \"smoke\": %b," smoke;
         Printf.sprintf "  \"fault_rate\": %.3f," fault_rate;
@@ -1450,6 +1474,7 @@ let tuner_throughput () =
       [
         "{";
         "  \"experiment\": \"tuner_throughput\",";
+        host_json_field ();
         Printf.sprintf "  \"seed\": %d," seed;
         Printf.sprintf "  \"smoke\": %b," smoke;
         Printf.sprintf "  \"workload\": \"resnet-%s-a100\"," label;
@@ -1490,178 +1515,6 @@ let tuner_throughput () =
   if hwm > gate_hwm_kb then begin
     Printf.printf "FAIL: peak RSS %d kB above the %d kB ceiling\n%!" hwm
       gate_hwm_kb;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Learned cost model: simulator-sparing screen                         *)
-
-let learned_model () =
-  header "Learned cost model: calibrated screen vs uncalibrated baseline";
-  let smoke = !smoke_flag in
-  let seed = !seed_ref in
-  let module Features = Amos_learn.Features in
-  let module Calibrate = Amos_learn.Calibrate in
-  let module Screen = Amos_learn.Screen in
-  let accel_names = [ "a100"; "v100"; "avx512" ] in
-  let accels =
-    List.map
-      (fun n ->
-        match Accelerator.by_name n with
-        | Some a -> (n, a)
-        | None -> failwith ("unknown accel " ^ n))
-      accel_names
-  in
-  let labels = if smoke then [ "C5" ] else [ "C2"; "C5"; "C8" ] in
-  let seeds =
-    if smoke then [ seed; seed + 1 ] else [ seed; seed + 1; seed + 2 ]
-  in
-  let tune ?model ?observe ~tune_seed accel op =
-    Explore.tune ?model ?observe ~rng:(Rng.create tune_seed) ~accel
-      ~mappings:(Explore.mapping_space accel op) ()
-  in
-  (* phase A: uncalibrated baseline, observations collected *)
-  let observations = ref [] in
-  let baseline =
-    List.map
-      (fun (name, accel) ->
-        List.map
-          (fun label ->
-            let op = Resnet.config (Resnet.by_label label) in
-            let observe (ob : Explore.observation) =
-              observations :=
-                ( Features.of_summary accel.Accelerator.config
-                    ob.Explore.ob_summary,
-                  ob.Explore.ob_predicted,
-                  ob.Explore.ob_measured )
-                :: !observations
-            in
-            let r = tune ~observe ~tune_seed:seed accel op in
-            (name, accel, label, op, r))
-          labels)
-      accels
-    |> List.concat
-  in
-  let model = Calibrate.fit (List.rev !observations) in
-  Printf.printf "(seed %d%s) fitted from %d observations\n%s%!" seed
-    (if smoke then ", smoke" else "")
-    model.Calibrate.n_obs
-    (Calibrate.describe model);
-  (* phase B: same tunes through the calibrated screen *)
-  let rows =
-    List.map
-      (fun (name, accel, label, op, base) ->
-        let cal =
-          tune ~model:(Screen.of_model ~accel model) ~tune_seed:seed accel op
-        in
-        let base_sims = List.length base.Explore.history in
-        let cal_sims = List.length cal.Explore.history in
-        let base_ms = 1e3 *. base.Explore.best.Explore.measured in
-        let cal_ms = 1e3 *. cal.Explore.best.Explore.measured in
-        Printf.printf
-          "%-7s %-3s sims %3d -> %3d (%.2fx)   best %.4f -> %.4f ms\n%!" name
-          label base_sims cal_sims
-          (float_of_int base_sims /. float_of_int (max 1 cal_sims))
-          base_ms cal_ms;
-        (name, label, base_sims, cal_sims, base_ms, cal_ms))
-      baseline
-  in
-  let base_sims = List.fold_left (fun a (_, _, b, _, _, _) -> a + b) 0 rows in
-  let cal_sims = List.fold_left (fun a (_, _, _, c, _, _) -> a + c) 0 rows in
-  let sim_ratio = float_of_int base_sims /. float_of_int (max 1 cal_sims) in
-  let worst_latency_ratio =
-    List.fold_left
-      (fun acc (_, _, _, _, b, c) -> Float.max acc (c /. b))
-      0. rows
-  in
-  (* identity invariant: tuning through the identity model is
-     bit-identical to tuning with no model at all *)
-  let identity_ok = ref true in
-  List.iter
-    (fun (_, accel) ->
-      List.iter
-        (fun s ->
-          let op = Resnet.config (Resnet.by_label (List.hd labels)) in
-          let plain = tune ~tune_seed:s accel op in
-          let ident =
-            tune ~model:(Screen.identity ~accel) ~tune_seed:s accel op
-          in
-          identity_ok :=
-            !identity_ok
-            && plain.Explore.best.Explore.predicted
-               = ident.Explore.best.Explore.predicted
-            && plain.Explore.best.Explore.measured
-               = ident.Explore.best.Explore.measured
-            && plain.Explore.history = ident.Explore.history
-            && plain.Explore.evaluations = ident.Explore.evaluations)
-        seeds)
-    accels;
-  let gate_ratio = if smoke then 1.5 else 2.0 in
-  (* the latency gate allows ties to resolve either way within 0.01%:
-     workloads like avx512 C5 surface dozens of plans identical to five
-     significant digits, and the float-exact minimum over 40+
-     measurements can flip on which near-tie happens to be measured.  A
-     1e-4 relative band is two orders of magnitude below the model's
-     own residual and far below any performance-meaningful
-     difference — anything beyond it is a real regression and fails. *)
-  let gate_latency = 1.0001 in
-  Printf.printf
-    "simulator measurements: %d -> %d (%.2fx fewer; gate >= %.1fx)\n\
-     worst latency ratio   : %.6f (gate <= 1.0001)\n\
-     identity bit-identical: %b (%d seeds x %d accels)\n%!"
-    base_sims cal_sims sim_ratio gate_ratio worst_latency_ratio !identity_ok
-    (List.length seeds) (List.length accels);
-  Csv.write "learned_model"
-    ~header:[ "accel"; "layer"; "base_sims"; "cal_sims"; "base_ms"; "cal_ms" ]
-    (List.map
-       (fun (name, label, b, c, bm, cm) ->
-         [ name; label; string_of_int b; string_of_int c; Csv.f bm; Csv.f cm ])
-       rows);
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"experiment\": \"learned_model\",";
-        Printf.sprintf "  \"seed\": %d," seed;
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        Printf.sprintf "  \"accels\": [%s],"
-          (String.concat ", "
-             (List.map (Printf.sprintf "\"%s\"") accel_names));
-        Printf.sprintf "  \"layers\": [%s],"
-          (String.concat ", " (List.map (Printf.sprintf "\"%s\"") labels));
-        Printf.sprintf "  \"observations\": %d," model.Calibrate.n_obs;
-        Printf.sprintf "  \"rms_before\": %.6g," model.Calibrate.rms_before;
-        Printf.sprintf "  \"rms_after\": %.6g," model.Calibrate.rms_after;
-        Printf.sprintf "  \"baseline_sims\": %d," base_sims;
-        Printf.sprintf "  \"calibrated_sims\": %d," cal_sims;
-        Printf.sprintf "  \"sim_ratio\": %.6g," sim_ratio;
-        Printf.sprintf "  \"worst_latency_ratio\": %.6g," worst_latency_ratio;
-        Printf.sprintf "  \"identity_bit_identical\": %b," !identity_ok;
-        Printf.sprintf "  \"identity_seeds\": %d," (List.length seeds);
-        Printf.sprintf "  \"gate_min_sim_ratio\": %.1f," gate_ratio;
-        Printf.sprintf "  \"gate_max_latency_ratio\": %g" gate_latency;
-        "}";
-      ]
-  in
-  let oc = open_out "BENCH_model.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "[written BENCH_model.json]\n%!";
-  if not !identity_ok then begin
-    Printf.printf
-      "FAIL: identity model must be bit-identical to tuning without one\n%!";
-    exit 1
-  end;
-  if sim_ratio < gate_ratio then begin
-    Printf.printf
-      "FAIL: %.2fx fewer simulator measurements, below the %.1fx gate\n%!"
-      sim_ratio gate_ratio;
-    exit 1
-  end;
-  if worst_latency_ratio > gate_latency then begin
-    Printf.printf
-      "FAIL: calibrated screen worsened best-plan latency (%.6fx)\n%!"
-      worst_latency_ratio;
     exit 1
   end
 
@@ -1744,8 +1597,7 @@ let experiments =
     ("service", service); ("robustness", robustness);
     ("migration", migration); ("serve", serve);
     ("cache_economy", cache_economy); ("fleet", fleet); ("chaos", chaos);
-    ("tuner_throughput", tuner_throughput);
-    ("learned_model", learned_model); ("micro", micro);
+    ("tuner_throughput", tuner_throughput); ("micro", micro);
   ]
 
 let () =

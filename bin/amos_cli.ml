@@ -12,8 +12,6 @@
                                         migrated off another accelerator
      amos_cli cache  stats|clear|warm|fsck
                                         manage the persistent tuning cache
-     amos_cli model  fit|stats          fit / inspect the learned cost model
-                                        from the recorded observation log
      amos_cli verify --accel toy --layer C5
                                         functional check vs the reference
      amos_cli abstraction --accel a100  print the hardware abstraction
@@ -87,8 +85,6 @@ module Batch_compile = Amos_service.Batch_compile
 module Par_tune = Amos_service.Par_tune
 module Migrate = Amos_service.Migrate
 module Obs_log = Amos_learn.Obs_log
-module Calibrate = Amos_learn.Calibrate
-module Screen = Amos_learn.Screen
 
 let jobs_arg =
   let doc =
@@ -122,10 +118,9 @@ let budget_with ?(population = 16) ?(generations = 8) seed =
   { Fingerprint.default_budget with
     Fingerprint.population; generations; seed }
 
-(* learned-cost-model plumbing shared by tune/profile: with a
-   persistent cache directory, every simulator measurement the tuner
-   makes is appended to the observation log next to the plans — the
-   raw material for `amos_cli model fit` *)
+(* observation plumbing shared by tune/profile: with a persistent cache
+   directory, every simulator measurement the tuner makes is appended to
+   the observation log next to the plans (summarised by `cache stats`) *)
 let observe_into cache_dir accel =
   match cache_dir with
   | None -> None
@@ -140,19 +135,6 @@ let observe_into cache_dir accel =
           Printf.eprintf "warning: observation log unavailable (%s)\n"
             (Printexc.to_string e);
           None)
-
-let screen_model_of accel = function
-  | None -> None
-  | Some file -> Some (Screen.of_model ~accel (Calibrate.load ~path:file ()))
-
-let model_arg =
-  let doc =
-    "Apply the calibrated cost model stored in FILE (see `amos_cli model \
-     fit`) during the kernel-free screen: corrected predictions rank \
-     candidates and prune simulator measurements.  The identity model is \
-     bit-identical to tuning without one."
-  in
-  Arg.(value & opt (some string) None & info [ "model" ] ~docv:"FILE" ~doc)
 
 (* rebuild the [Compiler.plan] view of a cached value so the reporting
    code paths (describe / profile) work unchanged; the estimates are
@@ -298,11 +280,10 @@ let tune_cmd =
                 cache hit for the target accelerator still wins.")
   in
   let run verbose accel_name layer kind batch index seed save load dsl jobs
-      cache_dir migrate_from model_file =
+      cache_dir migrate_from =
     setup_logs verbose;
     let accel = accel_by_name accel_name in
     let op = pick_op ?dsl ~layer ~kind ~batch ~index ~scale:1 () in
-    let model = screen_model_of accel model_file in
     let observe = observe_into cache_dir accel in
     match load with
     | Some file -> (
@@ -349,8 +330,7 @@ let tune_cmd =
         let value, source =
           match migration with
           | None ->
-              Batch_compile.tune_op ~jobs ~budget ?model ?observe ~cache accel
-                op
+              Batch_compile.tune_op ~jobs ~budget ?observe ~cache accel op
           | Some o ->
               Printf.printf "[migrated %d seed%s from %s (%s transfer)]\n"
                 (List.length o.Migrate.seeds)
@@ -358,7 +338,7 @@ let tune_cmd =
                 o.Migrate.source_accel
                 (if o.Migrate.direct then "direct" else "structural");
               let value, _ =
-                Batch_compile.tune_fresh ?model
+                Batch_compile.tune_fresh
                   ?observe:
                     (Option.map
                        (fun f ->
@@ -405,7 +385,7 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc:"Explore mappings x schedules and report the best plan")
     Term.(const run $ verbose_arg $ accel_arg $ layer_arg $ kind_arg
           $ batch_arg $ index_arg $ seed_arg $ save_arg $ load_arg $ dsl_arg
-          $ jobs_arg $ cache_dir_arg $ migrate_from_arg $ model_arg)
+          $ jobs_arg $ cache_dir_arg $ migrate_from_arg)
 
 (* --- verify ------------------------------------------------------- *)
 
@@ -667,104 +647,6 @@ let cache_cmd =
        ~doc:"Inspect, clear, warm or repair the persistent tuning cache")
     [ cache_stats_cmd; cache_clear_cmd; cache_warm_cmd; cache_trim_cmd;
       cache_fsck_cmd ]
-
-(* --- model (learned cost model) ------------------------------------ *)
-
-let model_out_arg =
-  let doc =
-    "Write the fitted model to FILE (default: model.amos inside the \
-     cache directory, where the daemon and `tune --model` find it)."
-  in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-
-let model_fit_cmd =
-  let run dir out accel_filter min_obs =
-    let records = Obs_log.read ~dir () in
-    let records =
-      match accel_filter with
-      | None -> records
-      | Some a -> List.filter (fun r -> r.Obs_log.accel = a) records
-    in
-    if List.length records < min_obs then begin
-      Printf.eprintf
-        "model fit: only %d observation%s in %s (need %d; tune with \
-         --cache-dir to collect more)\n"
-        (List.length records)
-        (if List.length records = 1 then "" else "s")
-        dir min_obs;
-      exit 2
-    end;
-    let m =
-      Calibrate.fit
-        (List.map
-           (fun r ->
-             (r.Obs_log.features, r.Obs_log.predicted, r.Obs_log.measured))
-           records)
-    in
-    let path =
-      match out with
-      | Some f -> f
-      | None -> Filename.concat dir Calibrate.file_name
-    in
-    Calibrate.save ~path m;
-    Printf.printf "model written to %s\n%s" path (Calibrate.describe m)
-  in
-  let accel_filter_arg =
-    let doc = "Fit only observations recorded on this accelerator." in
-    Arg.(value & opt (some string) None
-         & info [ "only-accel" ] ~docv:"NAME" ~doc)
-  in
-  let min_obs_arg =
-    let doc = "Refuse to fit from fewer observations than this." in
-    Arg.(value & opt int 8 & info [ "min-obs" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "fit"
-       ~doc:
-         "Fit the multiplicative correction model from the observation \
-          log (least squares on log(measured/predicted) over the \
-          candidate feature vectors) and write a versioned model file.")
-    Term.(const run $ cache_dir_required $ model_out_arg $ accel_filter_arg
-          $ min_obs_arg)
-
-let model_stats_cmd =
-  let run dir model_file =
-    (match Obs_log.scan ~dir () with
-    | s ->
-        Printf.printf
-          "observation log  : %d records, %d skipped, %d bytes%s\n"
-          s.Obs_log.records s.Obs_log.skipped s.Obs_log.bytes
-          (if s.Obs_log.torn then " (torn tail)" else "")
-    | exception Obs_log.Unsupported_obs_log { version; _ } ->
-        Printf.printf "observation log  : unsupported version %s\n" version);
-    let path =
-      match model_file with
-      | Some f -> f
-      | None -> Filename.concat dir Calibrate.file_name
-    in
-    if Sys.file_exists path then begin
-      let m = Calibrate.load ~path () in
-      Printf.printf "model file       : %s%s\n" path
-        (if Calibrate.is_identity m then " (identity)" else "");
-      print_string (Calibrate.describe m)
-    end
-    else Printf.printf "model file       : none at %s\n" path
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Report the observation log's record count and integrity, and \
-          describe the fitted model file if one exists.")
-    Term.(const run $ cache_dir_required $ model_arg)
-
-let model_cmd =
-  Cmd.group
-    (Cmd.info "model"
-       ~doc:
-         "Fit and inspect the learned cost model: a calibration layer \
-          over the analytic performance model, fitted from the \
-          observation log the tuner records next to the plan cache.")
-    [ model_fit_cmd; model_stats_cmd ]
 
 (* --- abstraction --------------------------------------------------- *)
 
@@ -1447,5 +1329,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ accels_cmd; count_cmd; map_cmd; tune_cmd; verify_cmd;
-            validate_cmd; networks_cmd; cache_cmd; model_cmd; profile_cmd;
+            validate_cmd; networks_cmd; cache_cmd; profile_cmd;
             abstraction_cmd; ir_cmd; serve_cmd; client_cmd; fleet_cmd ]))

@@ -18,34 +18,11 @@ type result = {
   failures : (string * string) list;
 }
 
-(* A calibrated screen model (see [Amos_learn]): a correction applied to
-   every analytic prediction during screening and ranking, plus optional
-   pruning ratios that let a trusted model spend strictly fewer simulator
-   measurements.  The hook lives here (not in the learn library) so the
-   core tuner stays free of a dependency on the calibration layer; the
-   identity hook — correction that returns its input bit-for-bit, both
-   cuts [None] — reproduces the default path exactly. *)
-type screen_model = {
-  sm_correct : Spatial_sim.Kernel.summary -> float -> float;
-      (* [sm_correct summary predicted] -> corrected predicted seconds *)
-  sm_measure_cut : float option;
-      (* per mapping, measure the best-ranked candidate plus one
-         representative per corrected-prediction band of this relative
-         width (>= 1.), never beyond the ratio of the best; candidates
-         inside an already-measured band are model-indistinguishable
-         from its representative *)
-  sm_survivor_cut : float option;
-      (* drop full-search mappings whose corrected screen score exceeds
-         this ratio of the best survivor's (>= 1.; seeded mappings and
-         the best survivor always stay) *)
-}
-
 (* One measured data point, reported through [?observe]: the kernel-free
-   summary the model screened with, the {e uncorrected} analytic
-   prediction (calibration always fits against the raw model, never
-   against its own output), and the simulator measurement.  The callback
-   is a side channel: it sees every simulator measurement in exploration
-   order and cannot perturb the search. *)
+   summary the model screened with, the analytic prediction and the
+   simulator measurement.  The callback is a side channel: it sees every
+   simulator measurement in exploration order and cannot perturb the
+   search. *)
 type observation = {
   ob_summary : Spatial_sim.Kernel.summary;
   ob_predicted : float;
@@ -161,19 +138,11 @@ type engine = {
   e_mutate : Rng.t -> Schedule.t -> Schedule.t;
   e_validate : Schedule.t -> bool;
   e_predict : Schedule.t -> float;
-      (* corrected by the screen model when one is active *)
   e_measure : Schedule.t -> float;
   e_summary : Schedule.t -> Spatial_sim.Kernel.summary;
-  e_raw_predict : Spatial_sim.Kernel.summary -> float;
-      (* the uncorrected analytic prediction, for [?observe] records *)
 }
 
-let engine ~memo ?model ~accel mapping =
-  (* with no model the correction is the identity function and the code
-     path below computes exactly what it did before the hook existed *)
-  let correct =
-    match model with None -> fun _ p -> p | Some m -> m.sm_correct
-  in
+let engine ~memo ~accel mapping =
   if memo then
     let space = Schedule.space mapping in
     let prepared = Codegen.prepare accel mapping in
@@ -189,9 +158,9 @@ let engine ~memo ?model ~accel mapping =
           match Hashtbl.find_opt cache s with
           | Some v -> v
           | None ->
-              let summary = Codegen.summarize_prepared prepared s in
               let v =
-                correct summary (Perf_model.predict_seconds_summary ctx summary)
+                Perf_model.predict_seconds_summary ctx
+                  (Codegen.summarize_prepared prepared s)
               in
               Hashtbl.add cache s v;
               v);
@@ -200,7 +169,6 @@ let engine ~memo ?model ~accel mapping =
           Spatial_sim.Machine.estimate_seconds accel.Accelerator.config
             (Codegen.lower_prepared prepared s));
       e_summary = Codegen.summarize_prepared prepared;
-      e_raw_predict = Perf_model.predict_seconds_summary ctx;
     }
   else
     {
@@ -208,24 +176,11 @@ let engine ~memo ?model ~accel mapping =
       e_random = (fun rng -> Schedule.random rng mapping);
       e_mutate = (fun rng s -> Schedule.mutate rng mapping s);
       e_validate = (fun s -> Schedule.validate mapping s);
-      e_predict =
-        (fun s ->
-          match model with
-          | None -> predict accel { mapping; schedule = s }
-          | Some m ->
-              let k = Codegen.lower accel mapping s in
-              m.sm_correct
-                (Spatial_sim.Kernel.summarize k)
-                (Perf_model.predict_seconds accel.Accelerator.config k));
+      e_predict = (fun s -> predict accel { mapping; schedule = s });
       e_measure = (fun s -> measure accel { mapping; schedule = s });
       e_summary =
         (fun s ->
           Spatial_sim.Kernel.summarize (Codegen.lower accel mapping s));
-      e_raw_predict =
-        (fun summary ->
-          Perf_model.predict_seconds_summary
-            (Perf_model.context accel.Accelerator.config)
-            summary);
     }
 
 let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
@@ -270,8 +225,8 @@ let schedule_search ?tick ?abort ?(seeds = []) ~population ~generations ~rng
 (* phase 1 unit: screen one mapping with its default schedule and a few
    random ones.  Returns the best predicted time and the number of model
    evaluations spent; deterministic per mapping (see [mapping_seed]). *)
-let screen_mapping ?(memo = true) ?model ~accel mapping =
-  let eng = engine ~memo ?model ~accel mapping in
+let screen_mapping ?(memo = true) ~accel mapping =
+  let eng = engine ~memo ~accel mapping in
   let rng = Rng.create (mapping_seed mapping) in
   let quick = eng.e_default () :: List.init 6 (fun _ -> eng.e_random rng) in
   let best =
@@ -281,7 +236,7 @@ let screen_mapping ?(memo = true) ?model ~accel mapping =
   in
   (best, List.length quick)
 
-let select_survivors ?(must_keep = fun _ -> false) ?cut screened =
+let select_survivors ?(must_keep = fun _ -> false) screened =
   let by_screen =
     List.filteri
       (fun i _ -> i < 12)
@@ -308,35 +263,9 @@ let select_survivors ?(must_keep = fun _ -> false) ?cut screened =
   in
   (* seeded (migrated) mappings always earn a full search: they compete
      with the screen winners instead of replacing them *)
-  let survivors =
-    dedup_append
-      (dedup_append by_screen by_utilization)
-      (List.filter (fun (m, _) -> must_keep m) screened)
-  in
-  (* a calibrated screen earns the right to prune: mappings whose
-     corrected score trails the best survivor by more than [cut] never
-     reach the genetic search.  The best survivor always stays (it is
-     within any cut >= 1 of itself) and seeded mappings are exempt, so
-     the search result can still never be worse than its seeds. *)
-  match cut with
-  | None -> survivors
-  | Some c ->
-      let best =
-        List.fold_left (fun acc (_, p) -> Float.min acc p) infinity survivors
-      in
-      List.filter (fun (m, p) -> p <= c *. best || must_keep m) survivors
-
-(* The best-screened survivor escapes the measure band: the winning plan
-   most often lives in the top-ranked mapping, and a screen that spares
-   the simulator right there risks trading the best plan away for a
-   handful of measurements.  Ties with the best score all stay
-   unbanded; the identity model has no band, so it passes through
-   untouched. *)
-let unband ?model ~best score =
-  match model with
-  | Some ({ sm_measure_cut = Some _; _ } as m) when score <= best ->
-      Some { m with sm_measure_cut = None }
-  | _ -> model
+  dedup_append
+    (dedup_append by_screen by_utilization)
+    (List.filter (fun (m, _) -> must_keep m) screened)
 
 (* phase 2 unit: full genetic schedule search for one mapping, measuring
    the [measure_top] best model-ranked schedules on the simulator.
@@ -344,9 +273,9 @@ let unband ?model ~best score =
    independent RNG stream over the same mapping: shard [i] of a
    population split across workers passes [~salt:i], so the shards
    explore disjoint schedule sequences yet each remains reproducible. *)
-let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
-    ?tick ?abort ~population ~generations ~measure_top ~accel mapping =
-  let eng = engine ~memo ?model ~accel mapping in
+let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?observe ?tick
+    ?abort ~population ~generations ~measure_top ~accel mapping =
+  let eng = engine ~memo ~accel mapping in
   let rng =
     Rng.create
       (if salt = 0 then mapping_seed mapping
@@ -356,97 +285,31 @@ let search_mapping ?(salt = 0) ?(seeds = []) ?(memo = true) ?model ?observe
   let ranked =
     schedule_search ?tick ?abort ~seeds ~population ~generations ~rng ~eng ()
   in
-  let top_all = List.filteri (fun i _ -> i < measure_top) ranked in
-  (* a calibrated model prunes the measured set two ways.  Runners-up
-     whose corrected prediction trails the best by more than the cut are
-     not worth a simulator run.  And a converged population re-proposes
-     near-identical schedules: a runner-up whose corrected prediction
-     sits within the cut band of an already-kept candidate is
-     model-indistinguishable from it, so the kept one serves as the
-     band's measurement representative.  [ranked] is sorted, so the head
-     is the best and always measured; with no model (or no cut) the
-     measured set is exactly the [measure_top] prefix, as before. *)
-  let banded, dropped =
-    match model with
-    | Some { sm_measure_cut = Some cut; _ } -> (
-        match top_all with
-        | [] -> ([], [])
-        | (_, best) :: _ as all ->
-            let kept = ref [] and rest = ref [] in
-            let last = ref neg_infinity in
-            List.iter
-              (fun (s, p) ->
-                if !kept = [] || (p <= cut *. best && p > cut *. !last) then begin
-                  kept := (s, p) :: !kept;
-                  last := p
-                end
-                else rest := (s, p) :: !rest)
-              all;
-            (List.rev !kept, List.rev !rest))
-    | Some { sm_measure_cut = None; _ } | None -> (top_all, [])
-  in
+  let top = List.filteri (fun i _ -> i < measure_top) ranked in
   let measure_plan (schedule, predicted) =
-    let c = { mapping; schedule } in
     let measured = eng.e_measure schedule in
-    (match observe with
-    | None -> ()
-    | Some f ->
-        (* side channel: raw analytic prediction, never the
-           model-corrected one — calibration fits the gap between the
-           analytic model and the simulator *)
-        let summary = eng.e_summary schedule in
+    Option.iter
+      (fun f ->
         f
           {
-            ob_summary = summary;
-            ob_predicted = eng.e_raw_predict summary;
+            ob_summary = eng.e_summary schedule;
+            ob_predicted = predicted;
             ob_measured = measured;
-          });
-    { candidate = c; predicted; measured }
-  in
-  let banded_plans = List.map measure_plan banded in
-  (* escalation: a measurement that lands more than three quarters of
-     the band away from its own prediction (in log space: [cut ** 0.75],
-     about 1.5 sigma of the fitted residual) proves the model is
-     misranking this mapping — schedules it called indistinguishable
-     differ by more than its claimed noise.  The model then forfeits its
-     pruning privilege one candidate at a time: each dropped runner-up
-     is measured in rank order for as long as the latest measurement is
-     itself surprising, so a locally-bad fit costs a few extra
-     simulator runs instead of the best plan, and a single borderline
-     wobble costs exactly one. *)
-  let escalated_plans =
-    match model with
-    | Some { sm_measure_cut = Some cut; _ } when dropped <> [] ->
-        let thr = Float.pow cut 0.75 in
-        let surprising p =
-          p.measured > thr *. p.predicted || p.predicted > thr *. p.measured
-        in
-        let rec widen acc trigger = function
-          | [] -> List.rev acc
-          | sp :: rest ->
-              if not trigger then List.rev acc
-              else
-                let pl = measure_plan sp in
-                widen (pl :: acc) (surprising pl) rest
-        in
-        widen [] (List.exists surprising banded_plans) dropped
-    | _ -> []
+          })
+      observe;
+    { candidate = { mapping; schedule }; predicted; measured }
   in
   (* seed schedules are always measured, even when the model ranks them
      out of the top: the search result can then never be worse than the
      seeds it was given *)
-  let already =
-    List.map (fun (s, _) -> s) banded
-    @ List.map (fun p -> p.candidate.schedule) escalated_plans
-  in
   let seed_extras =
     List.filter_map
       (fun s ->
-        if List.mem s already then None else Some (s, eng.e_predict s))
+        if List.mem_assoc s top then None else Some (s, eng.e_predict s))
       seeds
   in
-  let plans = banded_plans @ escalated_plans @ List.map measure_plan seed_extras in
-  (plans, population * (generations + 1) + List.length seeds)
+  ( List.map measure_plan (top @ seed_extras),
+    population * (generations + 1) + List.length seeds )
 
 let assemble ?(failures = []) plans ~evaluations =
   let best =
@@ -536,7 +399,7 @@ let parallel_map_result ~jobs f arr =
    shard) order.  With one shard this is exactly the unsplit search.
    Shards never outnumber the population, so the slices partition the
    budget and every shard holds at least one candidate. *)
-let tune_with ~jobs ~population ~must_keep ~cut ~screen ~search ~mappings () =
+let tune_with ~jobs ~population ~must_keep ~screen ~search ~mappings () =
   let failures = ref [] in
   (* runs on the calling domain after every worker joined; an abort is
      the whole exploration tearing down, never a per-mapping failure.
@@ -562,11 +425,8 @@ let tune_with ~jobs ~population ~must_keep ~cut ~screen ~search ~mappings () =
     List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 screened
   in
   let survivors =
-    select_survivors ~must_keep ?cut
+    select_survivors ~must_keep
       (List.map (fun (m, (best, _)) -> (m, best)) screened)
-  in
-  let best_score =
-    List.fold_left (fun acc (_, s) -> Float.min acc s) infinity survivors
   in
   let shards =
     if jobs > n_mappings then
@@ -579,15 +439,12 @@ let tune_with ~jobs ~population ~must_keep ~cut ~screen ~search ~mappings () =
   let tasks =
     Array.of_list
       (List.concat_map
-         (fun (m, s) -> List.init shards (fun i -> (m, s, i)))
+         (fun (m, _) -> List.init shards (fun i -> (m, i)))
          survivors)
   in
   let searched =
-    run
-      (fun (m, _, _) -> m)
-      tasks
-      (fun (m, score, shard) ->
-        search m ~score ~best_score ~shard ~population:(slice shard))
+    run fst tasks (fun (m, shard) ->
+        search m ~shard ~population:(slice shard))
   in
   let evaluations =
     List.fold_left (fun acc (_, (_, n)) -> acc + n) screen_evals searched
@@ -602,8 +459,8 @@ let tune_with ~jobs ~population ~must_keep ~cut ~screen ~search ~mappings () =
    spend on its single hand-written mapping), and the best model-ranked
    plans are measured on the simulator. *)
 let tune ?(jobs = 1) ?(population = 16) ?(generations = 8) ?(measure_top = 3)
-    ?(initial_population = []) ?(memo = true) ?model ?observe ?progress ?abort
-    ~rng ~accel ~mappings () =
+    ?(initial_population = []) ?(memo = true) ?observe ?progress ?abort ~rng
+    ~accel ~mappings () =
   if mappings = [] && initial_population = [] then
     invalid_arg "Explore.tune: no mappings";
   (* historical draw, kept so callers sharing an rng see the same stream *)
@@ -650,16 +507,13 @@ let tune ?(jobs = 1) ?(population = 16) ?(generations = 8) ?(measure_top = 3)
                 Option.iter (fun f -> f ob) observe))
   in
   tune_with ~jobs ~population ~must_keep:is_seeded
-    ~cut:(Option.bind model (fun m -> m.sm_survivor_cut))
-    ~screen:(screen_mapping ~memo ?model ~accel)
-    ~search:(fun m ~score ~best_score ~shard ~population ->
+    ~screen:(screen_mapping ~memo ~accel)
+    ~search:(fun m ~shard ~population ->
       (* seeds attach to shard 0 only, so a seed is measured once *)
       search_mapping ~salt:shard
         ~seeds:(if shard = 0 then seeds_for m else [])
-        ~memo
-        ?model:(unband ?model ~best:best_score score)
-        ?observe ?tick:(tick population) ?abort ~population ~generations
-        ~measure_top ~accel m)
+        ~memo ?observe ?tick:(tick population) ?abort ~population
+        ~generations ~measure_top ~accel m)
     ~mappings ()
 
 let mapping_space ?filter ?memo accel op =
@@ -668,14 +522,14 @@ let mapping_space ?filter ?memo accel op =
       List.map Mapping.make (Mapping_gen.generate_op ?filter ?memo op intr))
     accel.Accelerator.intrinsics
 
-let tune_op ?jobs ?population ?generations ?measure_top ?filter ?memo ?model
-    ?observe ~rng ~accel op =
+let tune_op ?jobs ?population ?generations ?measure_top ?filter ?memo ?observe
+    ~rng ~accel op =
   match mapping_space ?filter ?memo accel op with
   | [] -> None
   | mappings ->
       Some
-        (tune ?jobs ?population ?generations ?measure_top ?memo ?model
-           ?observe ~rng ~accel ~mappings ())
+        (tune ?jobs ?population ?generations ?measure_top ?memo ?observe ~rng
+           ~accel ~mappings ())
 
 let sample ~n ~rng ~accel ~mappings =
   if mappings = [] then invalid_arg "Explore.sample: no mappings";

@@ -33,43 +33,16 @@ type result = {
           the siblings' plans still compete for [best] *)
 }
 
-type screen_model = {
-  sm_correct : Spatial_sim.Kernel.summary -> float -> float;
-      (** [sm_correct summary predicted] returns the corrected predicted
-          seconds; applied to every model evaluation during screening
-          and genetic ranking.  The identity correction must return its
-          input bit-for-bit (see [Amos_learn.Calibrate.identity]). *)
-  sm_measure_cut : float option;
-      (** when set (>= 1.), each mapping's measured set keeps the
-          best-ranked schedule plus one representative per
-          corrected-prediction band of this relative width, never beyond
-          the ratio of the mapping's best: a converged population
-          re-proposes schedules the model cannot distinguish, and one
-          simulator run per band is enough.  The best schedule and every
-          seed are always measured.  [None] measures the full
-          [measure_top]. *)
-  sm_survivor_cut : float option;
-      (** when set (>= 1.), mappings whose corrected screen score
-          exceeds this ratio of the best survivor's skip the genetic
-          search entirely — the best survivor and seeded mappings always
-          stay.  [None] keeps the default survivor set. *)
-}
-(** A calibrated screen (see [Amos_learn]): corrects the analytic
-    model's predictions and optionally prunes the simulator-measured
-    sets.  With the identity correction and both cuts [None], every
-    result field is bit-identical to running without a model. *)
-
 type observation = {
   ob_summary : Spatial_sim.Kernel.summary;  (** what the model screened *)
-  ob_predicted : float;
-      (** {e uncorrected} analytic prediction (seconds) — calibration
-          fits the model-vs-simulator gap, never its own output *)
+  ob_predicted : float;  (** analytic model seconds *)
   ob_measured : float;  (** simulator seconds *)
 }
 (** One simulator measurement, reported through [?observe] as it
     happens.  The callback is a pure side channel: it cannot perturb
     the RNG streams, rankings or results, which is what lets every
-    tuning run feed the observation log for free. *)
+    tuning run feed the observation log ([Amos_learn.Obs_log]) for
+    free. *)
 
 exception Aborted
 (** Raised (out of {!tune} / {!search_mapping}) when the [?abort] poll
@@ -80,7 +53,7 @@ exception Aborted
 type progress = {
   pr_generation : int;  (** genetic generations completed so far *)
   pr_best_predicted : float;
-      (** best (model-corrected) predicted seconds so far; [infinity]
+      (** best predicted seconds so far; [infinity]
           before the first generation ranks *)
   pr_best_measured : float;
       (** best simulator seconds so far; [infinity] before the first
@@ -100,7 +73,6 @@ val tune :
   ?measure_top:int ->
   ?initial_population:candidate list ->
   ?memo:bool ->
-  ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?progress:(progress -> unit) ->
   ?abort:(unit -> bool) ->
@@ -157,10 +129,8 @@ val tune :
     history, evaluation counts — which the throughput test suite checks
     across seeds and accelerators.
 
-    [model] installs a calibrated screen ({!screen_model}): every
-    analytic prediction is corrected before ranking, and the optional
-    cuts prune the simulator-measured sets.  [observe] is called once
-    per simulator measurement with the {!observation} it produced.
+    [observe] is called once per simulator measurement with the
+    {!observation} it produced.
 
     [progress] is called once per completed genetic generation with the
     aggregated {!progress} snapshot ([pr_generation] counts globally
@@ -185,7 +155,6 @@ val tune_op :
   ?measure_top:int ->
   ?filter:bool ->
   ?memo:bool ->
-  ?model:screen_model ->
   ?observe:(observation -> unit) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->
@@ -212,43 +181,23 @@ val mapping_key : Mapping.t -> string * string
     unlike the physical identity of the [Iter.t] ids inside. *)
 
 val screen_mapping :
-  ?memo:bool ->
-  ?model:screen_model ->
-  accel:Accelerator.t ->
-  Mapping.t ->
-  float * int
+  ?memo:bool -> accel:Accelerator.t -> Mapping.t -> float * int
 (** Phase-1 unit: best predicted seconds of the default plus a few
     random schedules, and the number of model evaluations spent.
-    [memo] and [model] as in {!tune} (the returned score is corrected
-    when a model is given). *)
+    [memo] as in {!tune}. *)
 
 val select_survivors :
   ?must_keep:(Mapping.t -> bool) ->
-  ?cut:float ->
   (Mapping.t * float) list ->
   (Mapping.t * float) list
 (** The mappings that earn a full schedule search: the best dozen by
     screen score plus the highest-utilization fusions, plus every
-    screened mapping satisfying [must_keep] (seeded mappings).  [cut]
-    (a {!screen_model}'s [sm_survivor_cut]) then drops survivors whose
-    score exceeds [cut] x the best survivor's, keeping the best and
-    every [must_keep] mapping. *)
-
-val unband :
-  ?model:screen_model -> best:float -> float -> screen_model option
-(** [unband ?model ~best score] — the screen model a survivor with
-    screen score [score] should search under, given the best survivor
-    score [best]: the best-scored survivor(s) (ties included) lose the
-    [sm_measure_cut] band and measure their full [measure_top], because
-    the winning plan most often lives in the top-ranked mapping and the
-    simulator must not be spared right there.  Every other survivor,
-    and any model without a band, passes through unchanged. *)
+    screened mapping satisfying [must_keep] (seeded mappings). *)
 
 val search_mapping :
   ?salt:int ->
   ?seeds:Schedule.t list ->
   ?memo:bool ->
-  ?model:screen_model ->
   ?observe:(observation -> unit) ->
   ?tick:(float -> unit) ->
   ?abort:(unit -> bool) ->
@@ -266,9 +215,7 @@ val search_mapping :
     independent deterministic RNG stream over the same mapping — shard
     [i] of a genetic population split across parallel workers passes
     [~salt:i]; salt 0 is bit-identical to the pre-salt behaviour.
-    [model] / [observe] as in {!tune}: the model corrects the genetic
-    ranking and its [sm_measure_cut] prunes the measured set; [observe]
-    fires once per simulator measurement.  [tick] fires once per
+    [observe] as in {!tune}: it fires once per simulator measurement.  [tick] fires once per
     completed generation with that generation's best predicted seconds;
     [abort] is polled at each generation boundary and raises {!Aborted}
     when it returns [true]. *)
@@ -290,25 +237,17 @@ val tune_with :
   jobs:int ->
   population:int ->
   must_keep:(Mapping.t -> bool) ->
-  cut:float option ->
   screen:(Mapping.t -> float * int) ->
-  search:
-    (Mapping.t ->
-    score:float ->
-    best_score:float ->
-    shard:int ->
-    population:int ->
-    plan list * int) ->
+  search:(Mapping.t -> shard:int -> population:int -> plan list * int) ->
   mappings:Mapping.t list ->
   unit ->
   result
 (** The driver behind {!tune}, with the two per-mapping work units
     supplied by the caller — [tune] passes {!screen_mapping} and
-    {!search_mapping}.  [must_keep] and [cut] go to {!select_survivors}.
-    Each search call receives the survivor's screen [score], the
-    [best_score] among all survivors (see {!unband}), its [shard] index
-    and that shard's slice of [population] (the whole of it unless the
-    population is split, see {!tune}).  A unit failing with {!Aborted}
+    {!search_mapping}.  [must_keep] goes to {!select_survivors}.  Each
+    search call receives the survivor's [shard] index and that shard's
+    slice of [population] (the whole of it unless the population is
+    split, see {!tune}).  A unit failing with {!Aborted}
     re-raises out of the merge after all domains joined instead of being
     recorded.  Exposed so the failure-isolation contract is testable
     with units that raise on demand. *)

@@ -1,4 +1,4 @@
-(** Deterministic feature extraction for the learned cost model.
+(** Deterministic feature extraction for observation-log records.
 
     A feature vector is computed from the kernel-free
     {!Spatial_sim.Kernel.summary} the tuner's screen already produces
@@ -7,13 +7,11 @@
     what the analytic model reads (the per-level parallelism products
     [prod S_l] and the L/R/W traffic terms) plus the occupancy ratios the
     analytic model deliberately ignores — the very terms whose absence
-    creates the model-vs-simulator gap the calibration layer fits.
+    creates the model-vs-simulator gap.
 
     Every component is nonnegative: counts and byte totals enter as
     [log1p], ratios as [log1p] of the raw ratio, and the intercept is a
-    constant 1.  Nonnegativity is what makes a calibrated correction
-    monotone in its weights (see [Calibrate]), a property the QCheck
-    suite pins. *)
+    constant 1. *)
 
 val dim : int
 (** Length of every feature vector this module produces. *)

@@ -1,7 +1,7 @@
 module Fs_io = Amos_service.Fs_io
 module Clock = Amos_service.Clock
 
-let log_src = Logs.Src.create "amos.learn" ~doc:"AMOS learned cost model"
+let log_src = Logs.Src.create "amos.learn" ~doc:"AMOS observation log"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 

@@ -4,9 +4,9 @@
     Every tuning run — CLI tune/profile, batch compile, the plan-serving
     daemon — appends one record per simulator measurement: fingerprint,
     accelerator, timestamp, the {!Features} vector of the measured
-    candidate, the analytic prediction and the measured seconds.  This
-    is the raw material {!Calibrate.fit} closes the model-vs-simulator
-    loop with.
+    candidate, the analytic prediction and the measured seconds: a
+    record of the model-vs-simulator gap, summarised by [cache stats]
+    and [cache fsck].
 
     Storage discipline matches the plan journal: a version stamp as the
     first line with a typed rejection of unknown versions, one record
@@ -33,7 +33,7 @@ type record = {
   fingerprint : string;  (** {!Amos_service.Fingerprint.key} of the run *)
   accel : string;  (** accelerator name *)
   at : float;  (** clock seconds when the observation was appended *)
-  predicted : float;  (** uncorrected analytic model seconds *)
+  predicted : float;  (** analytic model seconds *)
   measured : float;  (** simulator seconds *)
   features : float array;  (** {!Features.of_summary} of the candidate *)
 }

@@ -149,19 +149,17 @@ let locked mu f =
 
 (* --- default tuner -------------------------------------------------- *)
 
-(* [model] / [observe] arrive as plain options (not optional arguments)
-   so the fully-labelled [tuner] shape stays erasure-free *)
-let default_tuner_with ~model ~observe ~jobs ~accel ~op ~budget ~seeds
-    ~progress ~abort =
+(* [observe] arrives as a plain option (not an optional argument) so the
+   fully-labelled [tuner] shape stays erasure-free *)
+let default_tuner_with ~observe ~jobs ~accel ~op ~budget ~seeds ~progress
+    ~abort =
   let value, evaluations =
-    Batch_compile.tune_fresh ?model ?observe ~initial_population:seeds
-      ?progress ?abort ~jobs ~budget accel op
+    Batch_compile.tune_fresh ?observe ~initial_population:seeds ?progress
+      ?abort ~jobs ~budget accel op
   in
   { value; evaluations }
 
-let default_tuner ~jobs ~accel ~op ~budget ~seeds ~progress ~abort =
-  default_tuner_with ~model:None ~observe:None ~jobs ~accel ~op ~budget ~seeds
-    ~progress ~abort
+let default_tuner = default_tuner_with ~observe:None
 
 (* --- request resolution -------------------------------------------- *)
 
@@ -241,10 +239,10 @@ let create ?tuner ?clock ?router config =
         match config.cache_dir with
         | None -> default_tuner
         | Some dir -> (
-            (* a persistent daemon feeds the learned cost model: every
-               simulator measurement lands in the observation log next
-               to the plans, and a fitted model file (if present) turns
-               on the calibrated screen *)
+            (* a persistent daemon records every simulator measurement
+               in the observation log next to the plans; the log is a
+               side channel, so the plan depends on the fingerprint
+               alone *)
             match Amos_learn.Obs_log.create ~clock ~dir () with
             | exception e ->
                 Log.warn (fun m ->
@@ -252,9 +250,6 @@ let create ?tuner ?clock ?router config =
                       (Printexc.to_string e));
                 default_tuner
             | obs_log ->
-                let model_path =
-                  Filename.concat dir Amos_learn.Calibrate.file_name
-                in
                 fun ~jobs ~accel ~op ~budget ~seeds ~progress ~abort ->
                   let fingerprint = Fingerprint.key ~accel ~op ~budget in
                   let observe =
@@ -263,19 +258,7 @@ let create ?tuner ?clock ?router config =
                          ~config:accel.Accelerator.config ~fingerprint
                          ~accel:accel.Accelerator.name)
                   in
-                  let model =
-                    if Fs_io.exists (Fs_io.real ()) model_path then
-                      match Amos_learn.Calibrate.load ~path:model_path () with
-                      | m -> Some (Amos_learn.Screen.of_model ~accel m)
-                      | exception e ->
-                          Log.warn (fun m ->
-                              m "model file %s unusable (%s); screening \
-                                 uncalibrated"
-                                model_path (Printexc.to_string e));
-                          None
-                    else None
-                  in
-                  default_tuner_with ~model ~observe ~jobs ~accel ~op ~budget
+                  default_tuner_with ~observe ~jobs ~accel ~op ~budget
                     ~seeds ~progress ~abort))
   in
   (* a client dying mid-reply must surface as EPIPE on the write, not

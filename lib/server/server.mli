@@ -144,12 +144,10 @@ type tuner =
     are free to ignore both.
 
     With a persistent cache directory and no custom tuner, the default
-    additionally feeds the learned cost model: every simulator
-    measurement is appended to [Amos_learn.Obs_log] (the
-    [observations.log] next to the plans), and when a fitted
-    [model.amos] file is present in the directory — written by
-    [amos model fit] — its calibrated screen is applied to every tune
-    (loaded per tune, so refitting takes effect without a restart). *)
+    additionally appends every simulator measurement to
+    [Amos_learn.Obs_log] (the [observations.log] next to the plans).
+    The log is a side channel: the plan a tune returns depends only on
+    its fingerprint (accelerator, operator, budget). *)
 
 type t
 

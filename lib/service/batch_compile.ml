@@ -44,7 +44,7 @@ type t = {
 
 let scalar_seconds = Compiler.scalar_seconds
 
-let tune_fresh ?model ?observe ?(initial_population = []) ?progress ?abort
+let tune_fresh ?observe ?(initial_population = []) ?progress ?abort
     ~jobs ~(budget : Fingerprint.budget) accel op =
   match (Explore.mapping_space accel op, initial_population) with
   | [], [] -> (Plan_cache.Scalar, 0)
@@ -53,7 +53,7 @@ let tune_fresh ?model ?observe ?(initial_population = []) ?progress ?abort
         Explore.tune ~jobs ~population:budget.Fingerprint.population
           ~generations:budget.Fingerprint.generations
           ~measure_top:budget.Fingerprint.measure_top ~initial_population
-          ?model ?observe ?progress ?abort
+          ?observe ?progress ?abort
           ~rng:(Rng.create budget.Fingerprint.seed) ~accel ~mappings ()
       in
       let best = result.Explore.best in
@@ -72,7 +72,6 @@ type ctx = {
   cache : Plan_cache.t;
   budget : Fingerprint.budget;
   jobs : int;
-  model : Explore.screen_model option;
   observe : (fingerprint:string -> Explore.observation -> unit) option;
   memo : (string, Plan_cache.value) Hashtbl.t;
   badlist : Badlist.t option;
@@ -87,7 +86,7 @@ type ctx = {
 }
 
 let make_ctx ?(jobs = Par_tune.default_jobs ())
-    ?(budget = Fingerprint.default_budget) ?model ?observe cache =
+    ?(budget = Fingerprint.default_budget) ?observe cache =
   let badlist =
     match Plan_cache.dir cache with
     | None -> None
@@ -100,7 +99,6 @@ let make_ctx ?(jobs = Par_tune.default_jobs ())
     cache;
     budget;
     jobs;
-    model;
     observe;
     memo = Hashtbl.create 16;
     badlist;
@@ -160,7 +158,7 @@ let tune_cached ctx accel op =
             let t0 = Unix.gettimeofday () in
             let outcome =
               match
-                tune_fresh ?model:ctx.model
+                tune_fresh
                   ?observe:
                     (Option.map (fun f -> f ~fingerprint) ctx.observe)
                   ~jobs:ctx.jobs ~budget:ctx.budget accel op
@@ -217,13 +215,13 @@ let report_of ctx ~tensor_stages =
     known_bad_stages = ctx.known_bad;
   }
 
-let tune_op ?jobs ?budget ?model ?observe ~cache accel op =
-  let ctx = make_ctx ?jobs ?budget ?model ?observe cache in
+let tune_op ?jobs ?budget ?observe ~cache accel op =
+  let ctx = make_ctx ?jobs ?budget ?observe cache in
   let _, value, source = tune_cached ctx accel op in
   (value, source)
 
-let compile ?jobs ?budget ?model ?observe ~cache accel pipeline =
-  let ctx = make_ctx ?jobs ?budget ?model ?observe cache in
+let compile ?jobs ?budget ?observe ~cache accel pipeline =
+  let ctx = make_ctx ?jobs ?budget ?observe cache in
   let plans =
     List.map
       (fun (stage_index, op) ->
@@ -248,9 +246,8 @@ let run t ~input ~weights =
    with dedup + caching.  Spatial layer times are re-derived from the plan
    (the structural estimate the tuner measured), so a warm compile needs
    no tuner at all. *)
-let compile_network ?jobs ?budget ?model ?observe ~cache accel
-    (net : Networks.t) =
-  let ctx = make_ctx ?jobs ?budget ?model ?observe cache in
+let compile_network ?jobs ?budget ?observe ~cache accel (net : Networks.t) =
+  let ctx = make_ctx ?jobs ?budget ?observe cache in
   let tensor_layers = ref 0 in
   let layers =
     List.map

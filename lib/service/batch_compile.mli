@@ -70,24 +70,21 @@ type t = {
 val compile :
   ?jobs:int ->
   ?budget:Fingerprint.budget ->
-  ?model:Explore.screen_model ->
   ?observe:(fingerprint:string -> Explore.observation -> unit) ->
   cache:Plan_cache.t ->
   Accelerator.t ->
   Pipeline.t ->
   t
-(** [model] installs a calibrated screen ([Explore.tune]'s contract) in
-    every fresh tune this compile performs; cached stages never touch
-    it.  [observe] receives each simulator measurement of a fresh tune,
-    labelled with the stage's fingerprint — the hook the learned cost
-    model's observation log hangs off. *)
+(** [observe] receives each simulator measurement of a fresh tune,
+    labelled with the stage's fingerprint — the hook the observation
+    log ([Amos_learn.Obs_log]) hangs off; cached stages never call
+    it. *)
 
 val scalar_seconds : Accelerator.t -> Amos_ir.Operator.t -> float
 (** The tuned-scalar roofline spatial plans must beat
     ([Compiler.scalar_seconds]). *)
 
 val tune_fresh :
-  ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   ?initial_population:Explore.candidate list ->
   ?progress:(Explore.progress -> unit) ->
@@ -107,7 +104,6 @@ val tune_fresh :
 val tune_op :
   ?jobs:int ->
   ?budget:Fingerprint.budget ->
-  ?model:Explore.screen_model ->
   ?observe:(fingerprint:string -> Explore.observation -> unit) ->
   cache:Plan_cache.t ->
   Accelerator.t ->
@@ -120,7 +116,6 @@ val tune_op :
 val compile_network :
   ?jobs:int ->
   ?budget:Fingerprint.budget ->
-  ?model:Explore.screen_model ->
   ?observe:(fingerprint:string -> Explore.observation -> unit) ->
   cache:Plan_cache.t ->
   Accelerator.t ->

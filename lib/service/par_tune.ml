@@ -3,9 +3,9 @@ open Amos
 let default_jobs () = min 8 (Domain.recommended_domain_count ())
 
 let tune_op ?(jobs = default_jobs ()) ?population ?generations ?measure_top
-    ?filter ?model ?observe ~rng ~accel op =
-  Explore.tune_op ~jobs ?population ?generations ?measure_top ?filter ?model
-    ?observe ~rng ~accel op
+    ?filter ?observe ~rng ~accel op =
+  Explore.tune_op ~jobs ?population ?generations ?measure_top ?filter ?observe
+    ~rng ~accel op
 
 (* Persistent bounded worker pool: long-lived domains pulling thunks
    from a capacity-bounded queue.  Unlike [Explore.parallel_map_result] (which

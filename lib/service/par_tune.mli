@@ -17,7 +17,6 @@ val tune_op :
   ?generations:int ->
   ?measure_top:int ->
   ?filter:bool ->
-  ?model:Explore.screen_model ->
   ?observe:(Explore.observation -> unit) ->
   rng:Amos_tensor.Rng.t ->
   accel:Accelerator.t ->

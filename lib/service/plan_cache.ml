@@ -720,7 +720,7 @@ type fsck_report = {
   obs_torn_repaired : bool;
 }
 
-(* the learned-model observation log living next to the plans
+(* the observation log living next to the plans
    ([Amos_learn.Obs_log.file_name] — the agreement is pinned by a test;
    the dependency can't point that way, learn sits above service).
    fsck only needs line-level integrity: count records, count junk,

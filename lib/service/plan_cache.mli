@@ -209,7 +209,7 @@ type fsck_report = {
       (** quarantine files older than the TTL that were removed *)
   known_bad : int;  (** {!Badlist} markers next to the cache *)
   obs_records : int;
-      (** well-formed lines in the learned-model observation log
+      (** well-formed lines in the observation log
           ([observations.log]) living next to the plans *)
   obs_skipped : int;
       (** malformed observation lines (excluding the version stamp) *)
@@ -234,7 +234,7 @@ val fsck :
     [clock] (default {!Clock.real}).  The report also counts the
     {!Badlist} known-bad markers living next to the cache
     (informational: they never affect {!fsck_clean}), and checks the
-    learned-model observation log ([observations.log]) at the line
+    observation log ([observations.log]) at the line
     level — counting records and junk, and terminating a torn trailing
     fragment so later appends land cleanly.  Observation-log figures
     are informational too. *)

@@ -114,6 +114,71 @@ let tune_tests =
         Alcotest.(check int) "generations x searched survivors"
           (generations * List.length survivors) f1;
         Alcotest.(check int) "same at jobs 2" f1 (final 2));
+    Alcotest.test_case "mapping-seed-structural-and-memo-stable" `Quick
+      (fun () ->
+        let accel =
+          { (Accelerator.v100 ()) with
+            Accelerator.intrinsics = [ Intrinsic.toy_mma_2x2x2 () ] }
+        in
+        let op = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
+        let a = Explore.mapping_space accel op
+        and b = Explore.mapping_space accel op in
+        Alcotest.(check bool) "nonempty space" true (a <> []);
+        List.iter2
+          (fun m m' ->
+            (* second call hits the memo; it must equal the first *)
+            Alcotest.(check int) "memo stable" (Explore.mapping_seed m)
+              (Explore.mapping_seed m);
+            (* physically distinct but structurally equal mapping: the
+               seed is a hash of structure, not of Iter.t identity *)
+            Alcotest.(check int) "structural seed" (Explore.mapping_seed m)
+              (Explore.mapping_seed m');
+            Alcotest.(check bool) "structural key" true
+              (Explore.mapping_key m = Explore.mapping_key m'))
+          a b);
+    Alcotest.test_case "observe-fires-per-measurement-and-is-inert" `Quick
+      (fun () ->
+        (* [observe] is a side channel: one call per simulator
+           measurement, and the result is bit-identical to the same
+           tune without it, whatever the domain count *)
+        let accel =
+          { (Accelerator.v100 ()) with
+            Accelerator.intrinsics = [ Intrinsic.toy_mma_2x2x2 () ] }
+        in
+        let op = Ops.conv2d ~n:2 ~c:2 ~k:2 ~p:4 ~q:4 ~r:3 ~s:3 () in
+        let tune ?observe jobs =
+          match
+            Explore.tune_op ~jobs ~population:4 ~generations:2 ?observe
+              ~rng:(Rng.create 42) ~accel op
+          with
+          | Some r -> r
+          | None -> Alcotest.fail "toy operator must be mappable"
+        in
+        let bits f = Int64.bits_of_float f in
+        let base = tune 1 in
+        List.iter
+          (fun jobs ->
+            let count = ref 0 in
+            let r = tune ~observe:(fun _ -> incr count) jobs in
+            let label what = Printf.sprintf "jobs %d: %s" jobs what in
+            Alcotest.(check int)
+              (label "one observation per simulator measurement")
+              (List.length r.Explore.history)
+              !count;
+            Alcotest.(check int64) (label "best predicted")
+              (bits base.Explore.best.Explore.predicted)
+              (bits r.Explore.best.Explore.predicted);
+            Alcotest.(check int64) (label "best measured")
+              (bits base.Explore.best.Explore.measured)
+              (bits r.Explore.best.Explore.measured);
+            Alcotest.(check int) (label "evaluations")
+              base.Explore.evaluations r.Explore.evaluations;
+            Alcotest.(check bool) (label "history") true
+              (List.equal
+                 (fun (p, m) (p', m') ->
+                   bits p = bits p' && bits m = bits m')
+                 base.Explore.history r.Explore.history))
+          [ 1; 2 ]);
     Alcotest.test_case "sample-pairs-finite" `Quick (fun () ->
         let accel = Accelerator.a100 () in
         let op = Amos_workloads.Resnet.config (Amos_workloads.Resnet.by_label "C8") in

@@ -372,9 +372,8 @@ let degradation_tests =
         let result =
           Explore.tune_with ~jobs:4 ~population:4
             ~must_keep:(fun _ -> false)
-            ~cut:None
             ~screen:(fun m -> Explore.screen_mapping ~accel m)
-            ~search:(fun m ~score:_ ~best_score:_ ~shard:_ ~population ->
+            ~search:(fun m ~shard:_ ~population ->
               if Mapping.describe m = victim then raise boom
               else
                 Explore.search_mapping ~population ~generations:2

@@ -932,6 +932,53 @@ let daemon_tests =
           (Server.drain_quarantined_once server2);
         Server.stop server2;
         Thread.join thread2);
+    Alcotest.test_case "persistent-daemon-plan-depends-on-fingerprint-only"
+      `Quick (fun () ->
+        (* the tuner [Server.create] builds for a cache directory also
+           writes the observation log; the plan it serves must still be
+           exactly the cache-free tune of the same (accel, op, budget).
+           A v100 GEMM, because the toy intrinsic loses every small GEMM
+           to the scalar units and "scalar" = "scalar" pins nothing. *)
+        let budget =
+          { Fingerprint.population = 4; generations = 2; measure_top = 2;
+            seed = 7 }
+        in
+        let accel = Option.get (Accelerator.by_name "v100") in
+        let text =
+          "for {i:128, j:128} for {r:128r}: out[i,j] += a[i,r] * b[r,j]"
+        in
+        let op = Amos_ir.Dsl.parse_exn ~name:"wire-op" text in
+        let value, evaluations =
+          Amos_service.Batch_compile.tune_fresh ~jobs:1 ~budget accel op
+        in
+        Alcotest.(check bool) "the GEMM maps spatially" true
+          (match value with Plan_cache.Spatial _ -> true | _ -> false);
+        let dir = temp_name "amosd-obs" in
+        let server, thread, socket = start_server ~cache_dir:dir () in
+        let reply =
+          Client.with_conn ~attempts:50 socket (fun c ->
+              Client.request_retry c
+                (Protocol.Tune
+                   { accel = "v100"; op = Protocol.Dsl_text text; budget }))
+        in
+        Server.stop server;
+        Thread.join thread;
+        (match reply with
+        | Ok (Protocol.Plan_r r) ->
+            Alcotest.(check string) "source" "tuned" r.Protocol.source;
+            Alcotest.(check string) "plan text"
+              (match value with
+              | Plan_cache.Scalar -> "scalar"
+              | Plan_cache.Spatial (m, sched) -> Plan_io.save m sched)
+              (match r.Protocol.plan with
+              | Protocol.Wire_scalar -> "scalar"
+              | Protocol.Wire_spatial text -> text);
+            Alcotest.(check int) "evaluations" evaluations
+              r.Protocol.evaluations
+        | Ok _ -> Alcotest.fail "expected Plan_r"
+        | Error msg -> Alcotest.fail msg);
+        Alcotest.(check bool) "observation log written" true
+          ((Amos_learn.Obs_log.scan ~dir ()).Amos_learn.Obs_log.records > 0));
     Alcotest.test_case "default-tuner-serves-validating-plan" `Quick
       (fun () ->
         (* end to end with the real tuner: the wire plan must re-bind
