@@ -496,24 +496,26 @@ let tune ?(jobs = 1) ?(population = 16) ?(generations = 8) ?(measure_top = 3)
               }))
       progress
   in
-  let observe =
-    match (progress, observe) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun ob ->
-            locked (fun () ->
-                if ob.ob_measured < !best_meas then best_meas := ob.ob_measured;
-                Option.iter (fun f -> f ob) observe))
-  in
+  (* the caller's [observe] is serialised only when there is one: no
+     observation is built for a tune nobody logs *)
+  let observe = Option.map (fun f ob -> locked (fun () -> f ob)) observe in
   tune_with ~jobs ~population ~must_keep:is_seeded
     ~screen:(screen_mapping ~memo ~accel)
     ~search:(fun m ~shard ~population ->
       (* seeds attach to shard 0 only, so a seed is measured once *)
-      search_mapping ~salt:shard
-        ~seeds:(if shard = 0 then seeds_for m else [])
-        ~memo ?observe ?tick:(tick population) ?abort ~population
-        ~generations ~measure_top ~accel m)
+      let ((plans, _) as found) =
+        search_mapping ~salt:shard
+          ~seeds:(if shard = 0 then seeds_for m else [])
+          ~memo ?observe ?tick:(tick population) ?abort ~population
+          ~generations ~measure_top ~accel m
+      in
+      (* the best measurement so far comes from the plans a finished
+         search returns *)
+      locked (fun () ->
+          List.iter
+            (fun p -> if p.measured < !best_meas then best_meas := p.measured)
+            plans);
+      found)
     ~mappings ()
 
 let mapping_space ?filter ?memo accel op =

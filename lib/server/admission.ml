@@ -14,6 +14,7 @@ type client_q = {
 
 type t = {
   mutex : Mutex.t;
+  changed : Condition.t;  (* work queued, a slot freed, or stopping *)
   clock : Clock.t;
   workers : int;
   capacity : int;
@@ -24,13 +25,14 @@ type t = {
   mutable queued : int;
   mutable running : int;
   mutable ewma : float option;  (* seconds per completed task *)
-  mutable closed : bool;
+  mutable stopped : bool;
 }
 
 let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     () =
   {
     mutex = Mutex.create ();
+    changed = Condition.create ();
     clock;
     workers = max 1 workers;
     capacity = max 1 capacity;
@@ -41,7 +43,7 @@ let create ?(alpha = 0.3) ?(weight_of = fun _ -> 1) ~clock ~workers ~capacity
     queued = 0;
     running = 0;
     ewma = None;
-    closed = false;
+    stopped = false;
   }
 
 (* Projected time a freshly admitted task waits before completing:
@@ -62,7 +64,7 @@ let projected_wait t =
 let submit t ~client ?deadline_ms task =
   Mutex.lock t.mutex;
   let r =
-    if t.closed || t.queued >= t.capacity then `Busy
+    if t.stopped || t.queued >= t.capacity then `Busy
     else begin
       let projected = projected_wait_locked t in
       match deadline_ms with
@@ -93,6 +95,8 @@ let submit t ~client ?deadline_ms task =
             Queue.push c t.round
           end;
           t.queued <- t.queued + 1;
+          (* one task needs one worker *)
+          Condition.signal t.changed;
           `Admitted
     end
   in
@@ -146,27 +150,48 @@ let rec pick_locked t guard =
           Some task
         end
 
+(* Hand out the next task, or [None] when nothing is queued or every
+   worker slot is taken.  Called with the mutex held. *)
+let take_locked t =
+  if t.running >= t.workers then None
+  else
+    match pick_locked t (1 + Queue.length t.round) with
+    | None -> None
+    | Some task ->
+        t.running <- t.running + 1;
+        let started = Clock.now t.clock in
+        Some
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                let dt = Clock.now t.clock -. started in
+                Mutex.lock t.mutex;
+                t.running <- t.running - 1;
+                note_locked t dt;
+                (* a freed slot matters only to a waiting backlog *)
+                if t.queued > 0 then Condition.signal t.changed;
+                Mutex.unlock t.mutex)
+              task)
+
 let take t =
   Mutex.lock t.mutex;
-  let r =
-    if t.running >= t.workers then None
-    else
-      match pick_locked t (1 + Queue.length t.round) with
-      | None -> None
-      | Some task ->
-          t.running <- t.running + 1;
-          let started = Clock.now t.clock in
-          Some
-            (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  let dt = Clock.now t.clock -. started in
-                  Mutex.lock t.mutex;
-                  t.running <- t.running - 1;
-                  note_locked t dt;
-                  Mutex.unlock t.mutex)
-                task)
+  let r = take_locked t in
+  Mutex.unlock t.mutex;
+  r
+
+(* A worker's blocking pick: wait until DRR hands out a task, or until
+   the queue is stopped with no backlog left to drain. *)
+let next t =
+  Mutex.lock t.mutex;
+  let rec wait () =
+    match take_locked t with
+    | Some _ as r -> r
+    | None when t.stopped && t.queued = 0 -> None
+    | None ->
+        Condition.wait t.changed t.mutex;
+        wait ()
   in
+  let r = wait () in
   Mutex.unlock t.mutex;
   r
 
@@ -194,18 +219,8 @@ let ewma t =
   Mutex.unlock t.mutex;
   e
 
-let close t =
+let stop t =
   Mutex.lock t.mutex;
-  t.closed <- true;
-  let stranded = ref [] in
-  Queue.iter
-    (fun c ->
-      Queue.iter (fun task -> stranded := task :: !stranded) c.ck_queue;
-      Queue.clear c.ck_queue;
-      c.ck_in_round <- false;
-      c.ck_deficit <- 0)
-    t.round;
-  Queue.clear t.round;
-  t.queued <- 0;
-  Mutex.unlock t.mutex;
-  List.rev !stranded
+  t.stopped <- true;
+  Condition.broadcast t.changed;
+  Mutex.unlock t.mutex

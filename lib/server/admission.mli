@@ -1,10 +1,11 @@
-(** Fair, deadline-aware admission for the daemon's tuning queue.
+(** The daemon's tuning queue: fair, deadline-aware admission that
+    feeds the worker domains directly.
 
-    Replaces the global FIFO in front of the worker pool with
-    per-client deficit-round-robin (DRR) queues: each client key (from
-    the connection handshake) owns a backlog and a [weight], and
-    {!take} serves backlogs in weight proportion — a client flooding
-    the daemon delays itself, not everyone else.  Tasks have unit cost
+    Tasks wait in per-client deficit-round-robin (DRR) queues: each
+    client key (from the connection handshake) owns a backlog and a
+    [weight], and {!take} serves backlogs in weight proportion — a
+    client flooding the daemon delays itself, not everyone else.
+    Tasks have unit cost
     (one tune each), so a weight-[w] client is served [w] tasks per
     round; over any backlogged interval its share of service is within
     one round of [w / total-weight] (the DRR fairness bound pinned by
@@ -14,11 +15,12 @@
     {!projected_wait} — the EWMA of recent task durations times queued
     + running tasks over worker slots — and refuses a request whose
     [deadline_ms] budget is already smaller than that projection
-    ([`Deadline]), {e before} it is enqueued.  PR 7 put [deadline_ms]
-    on the wire; this is the queue finally honoring it.
+    ([`Deadline]), {e before} it is enqueued.
 
     Every time read goes through the injectable [Clock], so the whole
-    scheduler is tested on a virtual clock with zero real-time waits. *)
+    scheduler is tested on a virtual clock with zero real-time waits
+    through the non-blocking {!take}.  The daemon's worker domains
+    block in {!next} instead. *)
 
 module Clock = Amos_service.Clock
 
@@ -36,7 +38,7 @@ val create :
     durations.  [weight_of] (default [fun _ -> 1]) assigns each client
     key its DRR weight, read once when the client's queue is created
     (values < 1 are clamped to 1).  [workers] bounds concurrently
-    running tasks handed out by {!take}; [capacity] bounds the total
+    running tasks handed out by {!take} and {!next}; [capacity] bounds the total
     queued backlog across all clients (both clamped to >= 1). *)
 
 val submit :
@@ -46,7 +48,7 @@ val submit :
   (unit -> unit) ->
   [ `Admitted | `Busy | `Deadline of float ]
 (** Enqueue a task under [client]'s backlog.  [`Busy] when the total
-    backlog is at capacity (or the queue is {!close}d); [`Deadline w]
+    backlog is at capacity (or the queue is {!stop}ped); [`Deadline w]
     when [deadline_ms] is below the projected wait [w] (seconds) — the
     task was {e never} enqueued.  Requests without a deadline are only
     subject to the capacity bound. *)
@@ -58,7 +60,13 @@ val take : t -> (unit -> unit) option
     (exactly once, on any thread) and its measured duration feeds the
     EWMA and releases the worker slot, even if the task raises.
     Work-conserving: whenever the backlog is nonempty and a slot is
-    free, [take] returns a task. *)
+    free, [take] returns a task.  It never blocks, so the scheduler is
+    testable on a virtual clock. *)
+
+val next : t -> (unit -> unit) option
+(** A worker's blocking {!take}: wait until DRR hands out a task, and
+    return [None] only once the queue is {!stop}ped and its backlog is
+    empty.  The daemon's worker domains loop on it. *)
 
 val projected_wait : t -> float
 (** Seconds a task admitted now is projected to wait before
@@ -79,8 +87,7 @@ val ewma : t -> float option
 (** Current EWMA of task durations in seconds; [None] before the first
     completion. *)
 
-val close : t -> (unit -> unit) list
-(** Refuse all future {!submit}s and return every still-queued task in
-    an arbitrary fair order, so a shutting-down daemon can resolve
-    their flights (e.g. with a busy reply) instead of stranding
-    waiters.  Running tasks are unaffected. *)
+val stop : t -> unit
+(** Refuse every future {!submit} and wake the workers blocked in
+    {!next}: they still run the admitted backlog, then each receives
+    [None].  Running tasks are unaffected.  Idempotent. *)

@@ -1,7 +1,6 @@
 open Amos
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
-module Par_tune = Amos_service.Par_tune
 module Migrate = Amos_service.Migrate
 module Batch_compile = Amos_service.Batch_compile
 module Clock = Amos_service.Clock
@@ -87,9 +86,10 @@ type t = {
   bound_tcp_port : int option;
   cache : Plan_cache.t;  (* guarded by cache_mu: one domain at a time *)
   cache_mu : Mutex.t;
-  pool : Par_tune.Pool.t;
   admission : Admission.t;
-      (* per-client DRR + deadline-aware admission in front of the pool *)
+      (* the one tuning queue: per-client DRR + deadline-aware
+         admission, drained directly by [workers] *)
+  workers : unit Domain.t list;
   flights : (flight_result, Protocol.progress_body) Single_flight.t;
   started_at : float;
   mu : Mutex.t;  (* guards everything below *)
@@ -107,7 +107,8 @@ type t = {
       (* request_id -> live waiter, so a Cancel frame (usually from a
          second connection) can find the exchange it names *)
   mutable conn_counter : int;  (* distinct admission keys per connection *)
-  mutable threads : Thread.t list;
+  mutable conns : int;  (* live connection handlers *)
+  conns_done : Condition.t;  (* [conns] dropped; waited on under [mu] *)
   mutable stopping : bool;  (* no new tuning admitted *)
   mutable stopped : bool;  (* accept loop must exit *)
   mutable requests : int;
@@ -230,6 +231,16 @@ let record_spec t fingerprint ~accel_name ~op ~budget =
 
 (* --- creation ------------------------------------------------------- *)
 
+(* A worker domain: run admitted tasks until the queue is stopped and
+   drained.  Tasks own their error handling; the last-resort swallow
+   keeps a stray raise from killing the worker. *)
+let rec work admission =
+  match Admission.next admission with
+  | None -> ()
+  | Some task ->
+      (try task () with _ -> ());
+      work admission
+
 let create ?tuner ?clock ?router config =
   let clock = match clock with Some c -> c | None -> Clock.real () in
   let tuner =
@@ -299,6 +310,12 @@ let create ?tuner ?clock ?router config =
       ?max_tuning_seconds:config.max_tuning_seconds ~clock
       ?dir:config.cache_dir ()
   in
+  let admission =
+    Admission.create ~clock
+      ~weight_of:(fun key -> if key = "peer" then peer_weight else 1)
+      ~workers:(max 1 config.workers)
+      ~capacity:(max 1 config.queue_capacity) ()
+  in
   {
     config;
     tuner;
@@ -307,17 +324,10 @@ let create ?tuner ?clock ?router config =
     bound_tcp_port;
     cache;
     cache_mu = Mutex.create ();
-    (* the admission queue feeds the pool only while a worker slot is
-       free, so the pool's own queue never holds more than [workers]
-       tasks — [queue_capacity] now bounds the admission backlog *)
-    pool =
-      Par_tune.Pool.create ~workers:(max 1 config.workers)
-        ~capacity:(max 1 config.workers);
-    admission =
-      Admission.create ~clock
-        ~weight_of:(fun key -> if key = "peer" then peer_weight else 1)
-        ~workers:(max 1 config.workers)
-        ~capacity:(max 1 config.queue_capacity) ();
+    admission;
+    workers =
+      List.init (max 1 config.workers) (fun _ ->
+          Domain.spawn (fun () -> work admission));
     flights = Single_flight.create ();
     started_at = Clock.now clock;
     mu = Mutex.create ();
@@ -328,7 +338,8 @@ let create ?tuner ?clock ?router config =
     router;
     streams = Hashtbl.create 16;
     conn_counter = 0;
-    threads = [];
+    conns = 0;
+    conns_done = Condition.create ();
     stopping = false;
     stopped = false;
     requests = 0;
@@ -349,9 +360,10 @@ let create ?tuner ?clock ?router config =
 
 let set_router t router = locked t.mu (fun () -> t.router <- Some router)
 let tcp_port t = t.bound_tcp_port
+let connections t = locked t.mu (fun () -> t.conns)
 
 let stats t : Protocol.server_stats =
-  let queue_load = Par_tune.Pool.load t.pool + Admission.depth t.admission in
+  let queue_load = Admission.load t.admission in
   let in_flight = Single_flight.in_flight t.flights in
   let cache_bytes =
     locked t.cache_mu (fun () -> Plan_cache.disk_bytes t.cache)
@@ -382,33 +394,13 @@ let stats t : Protocol.server_stats =
 
 (* --- tuning flow ---------------------------------------------------- *)
 
-let retry_hint t =
-  0.1
-  +. 0.05
-     *. float_of_int (Par_tune.Pool.load t.pool + Admission.load t.admission)
+let retry_hint t = 0.1 +. (0.05 *. float_of_int (Admission.load t.admission))
 
 let response_of_flight ~deduped = function
   | Fl_plan r ->
       Protocol.Plan_r (if deduped then { r with Protocol.source = "deduped" } else r)
   | Fl_busy retry_after_s -> Protocol.Busy_r { retry_after_s }
   | Fl_error msg -> Protocol.Error_r msg
-
-(* Keep the admission backlog flowing into the pool: hand out tasks
-   while a worker slot is free.  Every pool task re-pumps when it
-   finishes, so one submit's pump keeps the chain alive for the whole
-   backlog. *)
-let rec pump t =
-  match Admission.take t.admission with
-  | None -> ()
-  | Some task ->
-      let run () =
-        task ();
-        pump t
-      in
-      if not (Par_tune.Pool.try_submit t.pool run) then
-        (* only reachable when the pool is shutting down under a racing
-           submit: run inline rather than strand the flight *)
-        run ()
 
 let progress_body (p : Explore.progress) : Protocol.progress_body =
   let known v = if Float.is_finite v then Some v else None in
@@ -548,24 +540,30 @@ let route_to_owner t ~from_peer ~deadline ~fingerprint req =
                   (Printexc.to_string e));
             None))
 
-let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
-    ~accel:accel_name ~op:op_spec ~budget =
+(* Resolve a request's accelerator and operator, fingerprint them, and
+   teach the quarantine drain the specification. *)
+let resolve t ~accel:accel_name ~op:op_spec ~budget =
   let accel = resolve_accel accel_name in
   let op = resolve_op op_spec in
   let fingerprint = Fingerprint.key ~accel ~op ~budget in
   record_spec t fingerprint ~accel_name ~op ~budget;
+  (accel, op, fingerprint)
+
+(* The two local layers, hot then disk; a disk hit is re-admitted into
+   the hot cache at the tuning cost it amortizes. *)
+let local_lookup t ~fingerprint ~accel ~op ~budget =
+  let served plan source =
+    Protocol.Plan_r
+      {
+        Protocol.fingerprint;
+        plan;
+        source;
+        evaluations = 0;
+        tuning_seconds = 0.;
+      }
+  in
   match hot_lookup t fingerprint with
-  | Some plan ->
-      (* a hot hit streams nothing: the final reply is the only frame *)
-      Some
-        (Protocol.Plan_r
-           {
-             Protocol.fingerprint;
-             plan;
-             source = "hot";
-             evaluations = 0;
-             tuning_seconds = 0.;
-           })
+  | Some plan -> Some (served plan "hot")
   | None -> (
       match cache_lookup t ~accel ~op ~budget with
       | Some value ->
@@ -573,28 +571,63 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
           locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1);
           hot_put t fingerprint plan
             ~tuning_seconds:(cached_tuning_seconds t fingerprint);
-          Some
-            (Protocol.Plan_r
-               {
-                 Protocol.fingerprint;
-                 plan;
-                 source = "cache";
-                 evaluations = 0;
-                 tuning_seconds = 0.;
-               })
-      | None ->
-          let forwarded =
-            let req =
-              if migrate then
-                Protocol.Migrate_tune
-                  { accel = accel_name; op = op_spec; budget }
-              else Protocol.Tune { accel = accel_name; op = op_spec; budget }
-            in
-            route_to_owner t ~from_peer ~deadline ~fingerprint req
-          in
-          (match forwarded with
-          | Some (Protocol.Plan_r _ as r) -> Some r
-          | Some _ | None ->
+          Some (served plan "cache")
+      | None -> None)
+
+(* The one worker task behind every tune, client-driven or a quarantine
+   retune: explore, store, admit into the hot cache, and resolve the
+   flight for every waiter.  [source] labels the reply; [on_stored] runs
+   once the plan is in the persistent cache. *)
+let tune_and_publish t fl ~fingerprint ~accel ~op ~budget ~seeds ~source
+    ~progress ~abort ~on_stored () =
+  let t0 = Clock.now t.clock in
+  let outcome =
+    match
+      t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds ~progress ~abort
+    with
+    | o -> `Ok o
+    | exception Explore.Aborted -> `Aborted
+    | exception e -> `Error (Printexc.to_string e)
+  in
+  let dt = Clock.now t.clock -. t0 in
+  Single_flight.complete t.flights fl
+    (match outcome with
+    | `Ok { value; evaluations } ->
+        locked t.cache_mu (fun () ->
+            try
+              Plan_cache.store t.cache ~accel ~op ~budget ~tuning_seconds:dt
+                value
+            with e ->
+              Log.warn (fun m ->
+                  m "plan store failed for %s: %s" fingerprint
+                    (Printexc.to_string e)));
+        on_stored ();
+        let plan = wire_of_value value in
+        hot_put t fingerprint plan ~tuning_seconds:dt;
+        Fl_plan
+          {
+            Protocol.fingerprint;
+            plan;
+            source;
+            evaluations;
+            tuning_seconds = dt;
+          }
+    | `Aborted ->
+        (* every waiter walked away and the exploration tore itself down
+           at a generation boundary; a racing joiner resolves busy and
+           retries fresh *)
+        Fl_busy (retry_hint t)
+    | `Error msg -> Fl_error ("tuning failed: " ^ msg))
+
+let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~accel ~op ~budget
+    req =
+  let accel, op, fingerprint = resolve t ~accel ~op ~budget in
+  match local_lookup t ~fingerprint ~accel ~op ~budget with
+  | Some _ as hit -> hit (* a local hit streams nothing: one final frame *)
+  | None -> (
+      match route_to_owner t ~from_peer ~deadline ~fingerprint req with
+      | Some (Protocol.Plan_r _ as r) -> Some r
+      | Some _ | None -> (
           if locked t.mu (fun () -> t.stopping) then
             Some (Protocol.Busy_r { retry_after_s = retry_hint t })
           else
@@ -605,68 +638,30 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
                 locked t.mu (fun () -> t.deduped <- t.deduped + 1);
                 register_stream t ~request_id w;
                 await_flight t ~streaming ~emit ~deduped:true ~request_id w
-            | `Lead w ->
+            | `Lead w -> (
                 let fl = Single_flight.flight w in
                 (* seeds are gathered before the task is queued so the
-                   pool task touches the shared cache only for the final
+                   worker touches the shared cache only for the final
                    store *)
                 let seeds =
-                  if migrate then migration_seeds t ~accel ~op ~budget else []
+                  match req with
+                  | Protocol.Migrate_tune _ ->
+                      migration_seeds t ~accel ~op ~budget
+                  | _ -> []
                 in
-                let task () =
-                  let t0 = Clock.now t.clock in
-                  (* per-generation snapshots fan out to every attached
-                     streaming waiter; the abort flag rises when the
-                     last of them detaches *)
-                  let progress =
-                    Some
-                      (fun p ->
-                        Single_flight.publish t.flights fl (progress_body p))
-                  in
-                  let abort =
-                    Some (fun () -> Single_flight.abort_requested fl)
-                  in
-                  let outcome =
-                    match
-                      t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds
-                        ~progress ~abort
-                    with
-                    | o -> `Ok o
-                    | exception Explore.Aborted -> `Aborted
-                    | exception e -> `Error (Printexc.to_string e)
-                  in
-                  let dt = Clock.now t.clock -. t0 in
-                  match outcome with
-                  | `Ok { value; evaluations } ->
-                      locked t.cache_mu (fun () ->
-                          try
-                            Plan_cache.store t.cache ~accel ~op ~budget
-                              ~tuning_seconds:dt value
-                          with e ->
-                            Log.warn (fun m ->
-                                m "plan store failed for %s: %s" fingerprint
-                                  (Printexc.to_string e)));
-                      let plan = wire_of_value value in
-                      hot_put t fingerprint plan ~tuning_seconds:dt;
-                      locked t.mu (fun () -> t.tunes <- t.tunes + 1);
-                      Single_flight.complete t.flights fl
-                        (Fl_plan
-                           {
-                             Protocol.fingerprint;
-                             plan;
-                             source = "tuned";
-                             evaluations;
-                             tuning_seconds = dt;
-                           })
-                  | `Aborted ->
-                      (* every waiter walked away and the exploration
-                         tore itself down at a generation boundary; a
-                         racing joiner resolves busy and retries fresh *)
-                      Single_flight.complete t.flights fl
-                        (Fl_busy (retry_hint t))
-                  | `Error msg ->
-                      Single_flight.complete t.flights fl
-                        (Fl_error ("tuning failed: " ^ msg))
+                (* per-generation snapshots fan out to every attached
+                   streaming waiter; the abort flag rises when the last
+                   of them detaches *)
+                let task =
+                  tune_and_publish t fl ~fingerprint ~accel ~op ~budget ~seeds
+                    ~source:"tuned"
+                    ~progress:
+                      (Some
+                         (fun p ->
+                           Single_flight.publish t.flights fl (progress_body p)))
+                    ~abort:(Some (fun () -> Single_flight.abort_requested fl))
+                    ~on_stored:(fun () ->
+                      locked t.mu (fun () -> t.tunes <- t.tunes + 1))
                 in
                 let admission_deadline =
                   match deadline with
@@ -674,20 +669,17 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
                   | Some (d, arrival) ->
                       let elapsed_ms =
                         int_of_float
-                          (Float.max 0. (Clock.now t.clock -. arrival)
-                          *. 1000.)
+                          (Float.max 0. (Clock.now t.clock -. arrival) *. 1000.)
                       in
                       Some (max 0 (d - elapsed_ms))
                 in
-                (match
-                   Admission.submit t.admission ~client
-                     ?deadline_ms:admission_deadline task
-                 with
+                match
+                  Admission.submit t.admission ~client
+                    ?deadline_ms:admission_deadline task
+                with
                 | `Admitted ->
                     register_stream t ~request_id w;
-                    pump t;
-                    await_flight t ~streaming ~emit ~deduped:false ~request_id
-                      w
+                    await_flight t ~streaming ~emit ~deduped:false ~request_id w
                 | `Busy ->
                     (* admission control: refuse, and resolve the flight
                        as busy so racing joiners are not stranded *)
@@ -708,47 +700,17 @@ let handle_tune t ~from_peer ~client ~env ~emit ~deadline ~migrate
                     ignore (Single_flight.detach t.flights w);
                     Some (Protocol.Deadline_hint_r { projected_wait_s }))))
 
-let handle_lookup t ~from_peer ~deadline ~accel:accel_name ~op:op_spec ~budget
-    =
-  let accel = resolve_accel accel_name in
-  let op = resolve_op op_spec in
-  let fingerprint = Fingerprint.key ~accel ~op ~budget in
-  record_spec t fingerprint ~accel_name ~op ~budget;
-  match hot_lookup t fingerprint with
-  | Some plan ->
-      Protocol.Plan_r
-        {
-          Protocol.fingerprint;
-          plan;
-          source = "hot";
-          evaluations = 0;
-          tuning_seconds = 0.;
-        }
+let handle_lookup t ~from_peer ~deadline ~accel ~op ~budget req =
+  let accel, op, fingerprint = resolve t ~accel ~op ~budget in
+  match local_lookup t ~fingerprint ~accel ~op ~budget with
+  | Some r -> r
   | None -> (
-      match cache_lookup t ~accel ~op ~budget with
-      | Some value ->
-          let plan = wire_of_value value in
-          locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1);
-          hot_put t fingerprint plan
-            ~tuning_seconds:(cached_tuning_seconds t fingerprint);
-          Protocol.Plan_r
-            {
-              Protocol.fingerprint;
-              plan;
-              source = "cache";
-              evaluations = 0;
-              tuning_seconds = 0.;
-            }
-      | None -> (
-          (* the owner is authoritative for its fingerprints: its plan
-             is served, its miss is a miss, and an unreachable owner
-             degrades to the local answer — also a miss here *)
-          let req =
-            Protocol.Lookup { accel = accel_name; op = op_spec; budget }
-          in
-          match route_to_owner t ~from_peer ~deadline ~fingerprint req with
-          | Some (Protocol.Plan_r _ as r) -> r
-          | Some _ | None -> Protocol.Not_found_r))
+      (* the owner is authoritative for its fingerprints: its plan is
+         served, its miss is a miss, and an unreachable owner degrades
+         to the local answer — also a miss here *)
+      match route_to_owner t ~from_peer ~deadline ~fingerprint req with
+      | Some (Protocol.Plan_r _ as r) -> r
+      | Some _ | None -> Protocol.Not_found_r)
 
 let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
   let accel = resolve_accel accel_name in
@@ -764,7 +726,7 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
     | None -> failwith ("unknown network " ^ network)
   in
   (* own handle over the same directory: long compiles stay off the
-     shared handle (and the tuning pool); handles see each other's
+     shared handle (and the tuning workers); handles see each other's
      stores through the journal.  Same budgets and clock, so the
      economy is enforced no matter which handle stored last. *)
   let cache =
@@ -791,8 +753,8 @@ let handle_compile t ~accel:accel_name ~network ~batch ~budget ~jobs =
 
 let quarantine_suffix = ".plan.quarantined"
 
-(* re-tune one quarantined fingerprint on the pool; [false] when the
-   pool is busy or another flight already owns the fingerprint *)
+(* queue a re-tune of one quarantined fingerprint; [false] when the
+   queue refuses it or another flight already owns the fingerprint *)
 let retune_quarantined t ~fp ~qpath ~accel ~op ~budget =
   match Single_flight.acquire t.flights fp with
   | `Join w ->
@@ -800,63 +762,31 @@ let retune_quarantined t ~fp ~qpath ~accel ~op ~budget =
          interest this probe just registered *)
       ignore (Single_flight.detach t.flights w);
       false
-  | `Lead w ->
+  | `Lead w -> (
       let f = Single_flight.flight w in
       (* the drain's own waiter stays attached (never detached) so the
          abort flag cannot rise under a retune nobody is watching *)
-      let task () =
-        let t0 = Clock.now t.clock in
-        let outcome =
-          match
-            t.tuner ~jobs:t.config.jobs ~accel ~op ~budget ~seeds:[]
-              ~progress:None ~abort:None
-          with
-          | o -> Ok o
-          | exception e -> Error (Printexc.to_string e)
-        in
-        let dt = Clock.now t.clock -. t0 in
-        match outcome with
-        | Ok { value; evaluations } ->
-            locked t.cache_mu (fun () ->
-                try
-                  Plan_cache.store t.cache ~accel ~op ~budget
-                    ~tuning_seconds:dt value
-                with e ->
-                  Log.warn (fun m ->
-                      m "retune store failed for %s: %s" fp
-                        (Printexc.to_string e)));
-            (* only after a good plan is back in the cache does the
-               quarantined copy stop being post-mortem material *)
-            (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
-             with Sys_error _ | Fs_io.Injected _ -> ());
-            let plan = wire_of_value value in
-            hot_put t fp plan ~tuning_seconds:dt;
-            locked t.mu (fun () ->
-                t.quarantine_retunes <- t.quarantine_retunes + 1);
-            Log.info (fun m -> m "re-tuned quarantined fingerprint %s" fp);
-            Single_flight.complete t.flights f
-              (Fl_plan
-                 {
-                   Protocol.fingerprint = fp;
-                   plan;
-                   source = "retuned";
-                   evaluations;
-                   tuning_seconds = dt;
-                 })
-        | Error msg ->
-            Single_flight.complete t.flights f
-              (Fl_error ("retune failed: " ^ msg))
+      let on_stored () =
+        (* only after a good plan is back in the cache does the
+           quarantined copy stop being post-mortem material *)
+        (try Fs_io.remove (Plan_cache.fs_handle t.cache) qpath
+         with Sys_error _ | Fs_io.Injected _ -> ());
+        locked t.mu (fun () ->
+            t.quarantine_retunes <- t.quarantine_retunes + 1);
+        Log.info (fun m -> m "re-tuned quarantined fingerprint %s" fp)
       in
-      (match Admission.submit t.admission ~client:"retune" task with
-      | `Admitted ->
-          pump t;
-          true
+      let task =
+        tune_and_publish t f ~fingerprint:fp ~accel ~op ~budget ~seeds:[]
+          ~source:"retuned" ~progress:None ~abort:None ~on_stored
+      in
+      match Admission.submit t.admission ~client:"retune" task with
+      | `Admitted -> true
       | `Busy | `Deadline _ ->
           Single_flight.complete t.flights f (Fl_busy (retry_hint t));
           false)
 
 (* One low-priority step of the background drain: only when the tuning
-   pool is idle, pick the first quarantined fingerprint whose
+   queue is idle, pick the first quarantined fingerprint whose
    specification a client request has taught us and re-tune it.  A
    quarantine file whose fingerprint already has a live entry again is
    simply removed — the corruption was superseded. *)
@@ -865,8 +795,7 @@ let drain_quarantined_once t =
   | None -> false
   | Some dir ->
       if locked t.mu (fun () -> t.stopping) then false
-      else if Par_tune.Pool.load t.pool > 0 || Admission.load t.admission > 0
-      then false
+      else if Admission.load t.admission > 0 then false
       else begin
         let fs = Plan_cache.fs_handle t.cache in
         let quarantined =
@@ -907,23 +836,23 @@ let drain_and_stop t =
   in
   if not already then
     Log.info (fun m -> m "draining: waiting for in-flight tuning to finish");
-  (* every admitted task still completes: the pump chain keeps feeding
-     the pool as worker slots free up, so wait for the admission
-     backlog to empty before draining the pool itself *)
-  let rec wait_admission () =
-    if Admission.load t.admission > 0 then begin
-      pump t;
-      Thread.delay 0.01;
-      wait_admission ()
-    end
-  in
-  wait_admission ();
-  Par_tune.Pool.shutdown ~drain:true t.pool;
+  (* refuse new work; every admitted task still completes, and each
+     worker exits once the backlog is empty *)
+  Admission.stop t.admission;
+  List.iter Domain.join t.workers;
   locked t.mu (fun () -> t.stopped <- true)
 
 let stop t = drain_and_stop t
 
 (* --- dispatch ------------------------------------------------------- *)
+
+(* a request handler's failure becomes a typed error reply on a
+   connection that stays open *)
+let guarded f =
+  match f () with
+  | r -> (r, false)
+  | exception Failure msg -> (Some (Protocol.Error_r msg), false)
+  | exception e -> (Some (Protocol.Error_r (Printexc.to_string e)), false)
 
 (* [emit] writes one interleaved response frame on the requesting
    connection, returning [false] when the socket is gone.  A [None]
@@ -964,36 +893,17 @@ let dispatch t ~from_peer ~client ~emit payload =
               locked t.mu (fun () -> t.cancels <- t.cancels + 1);
               (Some (Protocol.Ok_r "cancelled"), false)
           | None -> (Some Protocol.Not_found_r, false))
-      | Protocol.Lookup { accel; op; budget } -> (
-          match handle_lookup t ~from_peer ~deadline ~accel ~op ~budget with
-          | r -> (Some r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Tune { accel; op; budget } -> (
-          match
-            handle_tune t ~from_peer ~client ~env ~emit ~deadline
-              ~migrate:false ~accel ~op ~budget
-          with
-          | r -> (r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Migrate_tune { accel; op; budget } -> (
-          match
-            handle_tune t ~from_peer ~client ~env ~emit ~deadline
-              ~migrate:true ~accel ~op ~budget
-          with
-          | r -> (r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false))
-      | Protocol.Compile { accel; network; batch; budget; jobs } -> (
-          match handle_compile t ~accel ~network ~batch ~budget ~jobs with
-          | r -> (Some r, false)
-          | exception Failure msg -> (Some (Protocol.Error_r msg), false)
-          | exception e ->
-              (Some (Protocol.Error_r (Printexc.to_string e)), false)))
+      | Protocol.Lookup { accel; op; budget } ->
+          guarded (fun () ->
+              Some (handle_lookup t ~from_peer ~deadline ~accel ~op ~budget req))
+      | Protocol.Tune { accel; op; budget }
+      | Protocol.Migrate_tune { accel; op; budget } ->
+          guarded (fun () ->
+              handle_tune t ~from_peer ~client ~env ~emit ~deadline ~accel ~op
+                ~budget req)
+      | Protocol.Compile { accel; network; batch; budget; jobs } ->
+          guarded (fun () ->
+              Some (handle_compile t ~accel ~network ~batch ~budget ~jobs)))
 
 (* --- connections ---------------------------------------------------- *)
 
@@ -1150,7 +1060,7 @@ let serve t =
       (match Unix.select listen_fds [] [] 0.25 with
       | [], _, _ ->
           (* idle tick: every couple of seconds of quiet, spend one
-             pool slot re-tuning a quarantined fingerprint *)
+             worker slot re-tuning a quarantined fingerprint *)
           incr idle_ticks;
           if !idle_ticks mod 8 = 0 then ignore (drain_quarantined_once t)
       | ready, _, _ ->
@@ -1159,8 +1069,20 @@ let serve t =
               match Unix.accept ~cloexec:true lfd with
               | fd, _ ->
                   let kind = kind_of lfd in
-                  let th = Thread.create (fun () -> handle_conn t kind fd) () in
-                  locked t.mu (fun () -> t.threads <- th :: t.threads)
+                  (* count the handler before it starts, so the exit
+                     below cannot miss it *)
+                  locked t.mu (fun () -> t.conns <- t.conns + 1);
+                  let release () =
+                    locked t.mu (fun () ->
+                        t.conns <- t.conns - 1;
+                        Condition.broadcast t.conns_done)
+                  in
+                  ignore
+                    (Thread.create
+                       (fun () ->
+                         Fun.protect ~finally:release (fun () ->
+                             handle_conn t kind fd))
+                       ())
               | exception Unix.Unix_error _ -> ())
             ready
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -1175,6 +1097,8 @@ let serve t =
   | None -> ()
   | Some path -> (
       try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()));
-  let threads = locked t.mu (fun () -> t.threads) in
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
+  locked t.mu (fun () ->
+      while t.conns > 0 do
+        Condition.wait t.conns_done t.mu
+      done);
   Log.info (fun m -> m "amosd stopped")

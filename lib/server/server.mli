@@ -3,9 +3,9 @@
     One process owns the plan cache and serves tuning over a
     Unix-domain socket so that N concurrent compiler clients share one
     tuner instead of racing N: requests arrive as {!Protocol} frames on
-    per-connection systhreads, tuning work is dispatched onto a bounded
-    {!Amos_service.Par_tune.Pool} of worker domains, and results flow
-    back through three layers —
+    per-connection systhreads, tuning work waits in one bounded queue
+    ({!Admission}) that a fixed set of worker domains drains directly,
+    and results flow back through three layers —
 
     - a bounded in-memory {e hot cache} of recently served plans (no
       disk, no validation cost on a repeat hit), scored by the cache
@@ -36,16 +36,17 @@
     boundary.
 
     Shutdown (the [Shutdown] request, or {!stop}) is graceful: the
-    daemon stops admitting tuning work, drains the admission queue and
-    the pool (every admitted exploration completes and its waiters get
-    real answers), acknowledges, and only then releases the socket.
+    daemon stops admitting tuning work, lets the workers drain the
+    admission queue (every admitted exploration completes and its
+    waiters get real answers) and joins them, acknowledges, and only
+    then releases the socket.
 
     [Compile] requests run on the connection thread with their own
     cache handle over the same directory (handles observe each other
     through the journal), so a long network compile never blocks the
-    tuning pool.
+    tuning workers.
 
-    When the pool is idle, the accept loop spends spare slots
+    When the tuning queue is idle, the accept loop spends spare slots
     re-tuning {e quarantined} fingerprints (corrupt entries fsck set
     aside) whose specification a client request has taught it — see
     {!drain_quarantined_once}. *)
@@ -67,7 +68,7 @@ type config = {
   cache_dir : string option;
       (** [None] = memory-only (plans survive only as long as the
           daemon) *)
-  workers : int;  (** tuning pool domains *)
+  workers : int;  (** tuning worker domains *)
   queue_capacity : int;  (** pending tunes admitted before [Busy] *)
   jobs : int;  (** parallel jobs inside one tuning task *)
   hot_capacity : int;  (** hot-cache entries (scored eviction) *)
@@ -129,7 +130,7 @@ type tuner =
   progress:(Amos.Explore.progress -> unit) option ->
   abort:(unit -> bool) option ->
   tune_outcome
-(** The exploration a pool task runs.  Injectable so tests can observe
+(** The exploration a tuning task runs.  Injectable so tests can observe
     scheduling behaviour (count invocations, block on a latch) without
     paying for real tuning; the default is
     [Amos_service.Batch_compile.tune_fresh], which races the explored
@@ -153,7 +154,7 @@ type t
 
 val create :
   ?tuner:tuner -> ?clock:Amos_service.Clock.t -> ?router:router -> config -> t
-(** Bind the configured listeners and start the worker pool.  Raises
+(** Bind the configured listeners and start the worker domains.  Raises
     [Unix.Unix_error] when an endpoint is unusable (a stale socket file
     is silently replaced), [Invalid_argument] when the config names no
     listener at all.  [clock] (default {!Amos_service.Clock.real})
@@ -172,25 +173,30 @@ val tcp_port : t -> int option
 
 val serve : t -> unit
 (** Run the accept loop until shutdown; returns after the socket is
-    released and every connection thread has finished.  Run it on a
+    released and every connection handler has finished.  Run it on a
     dedicated thread for in-process use (tests, bench). *)
 
 val stop : t -> unit
 (** Programmatic graceful shutdown: drain and stop.  Idempotent; safe
     from any thread. *)
 
+val connections : t -> int
+(** Connection handlers currently running.  A handler counts from the
+    accept until its connection closes, and {!serve} returns only once
+    this is back to 0. *)
+
 val stats : t -> Protocol.server_stats
 (** Snapshot, same data a [Stats] request returns. *)
 
 val drain_quarantined_once : t -> bool
 (** One step of the background quarantine drain, normally invoked from
-    the accept loop's idle ticks: when the tuning pool is idle, pick
+    the accept loop's idle ticks: when the tuning queue is idle, pick
     the lexicographically first [*.plan.quarantined] fingerprint whose
     operator specification the daemon has seen (via an earlier
-    [Tune]/[Lookup]) and re-tune it on the pool; the quarantine file is
+    [Tune]/[Lookup]) and queue a re-tune of it; the quarantine file is
     removed only after the fresh plan is stored.  A quarantined
     fingerprint that regained a live entry is just swept.  Returns
     [false] when there is nothing to do — no cache directory, the
-    daemon is stopping or the pool is busy (the drain never delays
+    daemon is stopping or the queue is busy (the drain never delays
     client work), or no quarantined fingerprint is actionable.
     Exposed for deterministic tests. *)

@@ -1,5 +1,5 @@
 (* The plan-serving daemon: pinned protocol-codec cases, framing edge
-   cases, the single-flight and pool primitives, and the daemon's
+   cases, the single-flight and tuning-queue primitives, and the daemon's
    concurrency contracts — single-flight deduplication, admission
    control, graceful drain — exercised against an in-process server
    with an injected (gated, counting) tuner so scheduling is
@@ -8,10 +8,10 @@
 open Amos
 module Fingerprint = Amos_service.Fingerprint
 module Plan_cache = Amos_service.Plan_cache
-module Par_tune = Amos_service.Par_tune
 module Json = Amos_server.Json
 module Protocol = Amos_server.Protocol
 module Single_flight = Amos_server.Single_flight
+module Admission = Amos_server.Admission
 module Server = Amos_server.Server
 module Client = Amos_server.Client
 
@@ -509,8 +509,21 @@ let primitive_tests =
         match Single_flight.wait sf lead with
         | `Done v -> Alcotest.(check int) "flight resolved" 9 v
         | `Cancelled -> Alcotest.fail "must resolve");
-    Alcotest.test_case "pool-bounded-admission-and-drain" `Quick (fun () ->
-        let pool = Par_tune.Pool.create ~workers:1 ~capacity:1 in
+    Alcotest.test_case "admission-workers-bounded-and-drain" `Quick (fun () ->
+        (* the daemon's one tuning queue, driven as the daemon drives
+           it: a worker domain blocks in [Admission.next] *)
+        let q =
+          Admission.create ~clock:(Amos_service.Clock.real ()) ~workers:1
+            ~capacity:1 ()
+        in
+        let rec work () =
+          match Admission.next q with
+          | None -> ()
+          | Some task ->
+              task ();
+              work ()
+        in
+        let worker = Domain.spawn work in
         let gate = Semaphore.Counting.make 0 in
         let started = Atomic.make 0 in
         let finished = Atomic.make 0 in
@@ -519,23 +532,24 @@ let primitive_tests =
           Semaphore.Counting.acquire gate;
           Atomic.incr finished
         in
-        Alcotest.(check bool) "first task admitted" true
-          (Par_tune.Pool.try_submit pool task);
-        (* wait until the worker holds task 1, so the queue is empty *)
+        let submit () = Admission.submit q ~client:"c" task in
+        Alcotest.(check bool) "first task admitted" true (submit () = `Admitted);
+        (* wait until the worker holds task 1, so the backlog is empty *)
         wait_for "worker to pick up task 1" (fun () -> Atomic.get started = 1);
-        Alcotest.(check bool) "second task queues" true
-          (Par_tune.Pool.try_submit pool task);
-        Alcotest.(check bool) "third task refused (queue full)" false
-          (Par_tune.Pool.try_submit pool task);
+        Alcotest.(check bool) "second task queues" true (submit () = `Admitted);
+        Alcotest.(check bool) "third task refused (backlog full)" true
+          (submit () = `Busy);
         Alcotest.(check int) "load counts queued + running" 2
-          (Par_tune.Pool.load pool);
+          (Admission.load q);
+        (* stopping refuses new work but still runs the admitted backlog *)
+        Admission.stop q;
+        Alcotest.(check bool) "after stop nothing is admitted" true
+          (submit () = `Busy);
         Semaphore.Counting.release gate;
         Semaphore.Counting.release gate;
-        (* drain waits for both admitted tasks, then joins workers *)
-        Par_tune.Pool.shutdown ~drain:true pool;
+        Domain.join worker;
         Alcotest.(check int) "both admitted tasks ran" 2 (Atomic.get finished);
-        Alcotest.(check bool) "after shutdown nothing is admitted" false
-          (Par_tune.Pool.try_submit pool task));
+        Alcotest.(check int) "queue empty" 0 (Admission.load q));
   ]
 
 (* --- in-process daemon ------------------------------------------------ *)
@@ -644,8 +658,12 @@ let daemon_tests =
         in
         (match rc with
         | Ok (Protocol.Busy_r { retry_after_s }) ->
-            Alcotest.(check bool) "positive retry hint" true
-              (retry_after_s > 0.)
+            (* A running and B queued count once each: 0.1 + 0.05 x 2 *)
+            let load = (Server.stats server).Protocol.queue_load in
+            Alcotest.(check int) "queue load = queued + running" 2 load;
+            Alcotest.(check (float 1e-9)) "retry hint follows the load"
+              (0.1 +. (0.05 *. float_of_int load))
+              retry_after_s
         | Ok _ -> Alcotest.fail "expected Busy_r"
         | Error msg -> Alcotest.fail msg);
         Alcotest.(check int) "stats: one rejection" 1
@@ -682,6 +700,22 @@ let daemon_tests =
         ignore (plan_of ra "drained client");
         Thread.join thread;
         Alcotest.(check bool) "socket released" false (Sys.file_exists socket));
+    Alcotest.test_case "closed-connections-are-not-retained" `Quick (fun () ->
+        (* one connection per request, as the CLI client makes them: a
+           long-lived daemon must track only live handlers *)
+        let server, thread, socket = start_server () in
+        for i = 1 to 20 do
+          match
+            Client.with_conn ~attempts:50 socket (fun c ->
+                Client.request c Protocol.Health)
+          with
+          | Ok (Protocol.Ok_r _) -> ()
+          | Ok _ | Error _ -> Alcotest.fail (Printf.sprintf "health %d" i)
+        done;
+        wait_for "every handler to exit" (fun () ->
+            Server.connections server = 0);
+        Server.stop server;
+        Thread.join thread);
     Alcotest.test_case "hot-and-cache-layers-serve-repeats" `Quick (fun () ->
         let calls = Atomic.make 0 in
         let tuner ~jobs:_ ~accel:_ ~op:_ ~budget:_ ~seeds:_ ~progress:_ ~abort:_ =
@@ -981,20 +1015,29 @@ let daemon_tests =
           ((Amos_learn.Obs_log.scan ~dir ()).Amos_learn.Obs_log.records > 0));
     Alcotest.test_case "default-tuner-serves-validating-plan" `Quick
       (fun () ->
-        (* end to end with the real tuner: the wire plan must re-bind
-           and re-validate on the client side *)
+        (* end to end with the real tuner: a GEMM large enough to map
+           onto the Tensor Cores must come back spatial, and the wire
+           plan must re-bind and re-validate on the client side *)
         let server, thread, socket = start_server () in
+        let text = "for {i:128, j:128} for {r:128r}: out[i,j] += a[i,r] * b[r,j]" in
         (match
            Client.with_conn ~attempts:50 socket (fun c ->
-               Client.request_retry c (tune_req gemm_text))
+               Client.request_retry c
+                 (Protocol.Tune
+                    {
+                      accel = "v100";
+                      op = Protocol.Dsl_text text;
+                      budget = small_budget;
+                    }))
          with
         | Ok (Protocol.Plan_r r) -> (
             match r.Protocol.plan with
-            | Protocol.Wire_scalar -> ()
-            | Protocol.Wire_spatial text -> (
-                let op = Amos_ir.Dsl.parse_exn ~name:"wire-op" gemm_text in
-                let accel = Option.get (Accelerator.by_name "toy") in
-                match Plan_io.load accel op text with
+            | Protocol.Wire_scalar ->
+                Alcotest.fail "a 128^3 GEMM on v100 must map spatially"
+            | Protocol.Wire_spatial text' -> (
+                let op = Amos_ir.Dsl.parse_exn ~name:"wire-op" text in
+                let accel = Option.get (Accelerator.by_name "v100") in
+                match Plan_io.load accel op text' with
                 | Some (m, sched) ->
                     Alcotest.(check bool) "plan validates" true
                       (Schedule.validate m sched)
